@@ -15,6 +15,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> layerbench builds and tests against the workspace"
+# The benchmark is a package of its own (outside the workspace) that
+# calls the service and telemetry APIs by path; compiling it here makes
+# an API refactor that breaks it fail CI instead of the benchmark run.
+cargo test --release --offline --manifest-path layerbench/Cargo.toml
+
 echo "==> corpus regression replay"
 # Also part of the workspace test run above; the explicit gate makes a
 # corpus regression fail loudly under its own heading.
@@ -85,9 +91,11 @@ RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
     load --chaos --requests 200 --seed 7
 
 echo "==> injected tie-break inversion is caught and minimized (--cfg failpoints)"
-# --lib additionally runs the provenance acceptance test: the inverted
-# tie-break must produce a rendered explained diff naming the first
-# divergent DP decision.
+# The test also requires the inverted tie-break to produce a rendered
+# explained diff naming the first divergent DP decision. --lib runs the
+# crate's unit tests, which must stay clean in a failpoints build; the
+# integration test is the only one that arms the (process-global)
+# failpoint registry, so the two never race.
 RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
     cargo test -p joinopt-conformance --lib --test tiebreak --offline -q
 

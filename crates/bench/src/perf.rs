@@ -156,7 +156,8 @@ pub fn run_matrix_observed(
         let mut pinned: Option<PerfCell> = None;
         for rep in 0..reps {
             let collector = MetricsCollector::new();
-            let fanout = Fanout::new(vec![&collector as &dyn Observer, obs]);
+            let sinks: [&dyn Observer; 2] = [&collector, obs];
+            let fanout = Fanout::new(&sinks);
             let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
                 .with_algorithm(alg)
                 .with_threads(threads)

@@ -20,7 +20,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
-use joinopt_bench::load::{run_chaos, run_load, run_load_observed, ChaosConfig, LoadConfig};
+use joinopt_bench::load::{run_chaos, run_load, ChaosConfig, LoadConfig};
 use joinopt_bench::perf::{run_matrix_observed, PerfBaseline, PerfConfig};
 use joinopt_core::explain::{compare, Explanation};
 use joinopt_core::formulas::{dpccp_inner, dpsize_inner, dpsub_inner};
@@ -40,8 +40,8 @@ use joinopt_service::{
 };
 use joinopt_telemetry::json::JsonValue;
 use joinopt_telemetry::{
-    collapse_trace, Fanout, MetricsCollector, MetricsRegistry, NoopObserver, Observer,
-    RegistryObserver, RunReport, SyncFanout, TraceWriter,
+    collapse_trace, Fanout, MetricsCollector, MetricsRegistry, Observer, RegistryObserver,
+    RunReport, TraceWriter,
 };
 
 /// Errors surfaced to the CLI user (exit code 1 + message).
@@ -214,9 +214,9 @@ LOAD:        load replays a seeded mixed chain/star/clique request
              a per-type error breakdown and the per-stage latency
              breakdown of the gateway lifecycle (shed-check, breaker,
              cache-lookup, optimize), writes the joinopt-load-v3 JSON
-             report with --json (v2/v1 reports still parse), and with
-             --min-hit-rate fails unless the run was error-free and the
-             hit rate met the floor (the CI smoke gate). --chaos replays the stream through the server
+             report with --json, and with --min-hit-rate fails unless
+             the run was error-free and the hit rate met the floor (the
+             CI smoke gate). --chaos replays the stream through the server
              gateway with a seeded worker-panic burst mid-run (needs a
              --cfg failpoints build): warmup must be clean, the burst
              must open the per-tenant circuit breaker, recovery must
@@ -358,8 +358,9 @@ struct Telemetry {
     metrics: Option<MetricsCollector>,
     trace: Option<TraceWriter<BufWriter<File>>>,
     /// Registry aggregating every observed run, written as a Prometheus
-    /// text-exposition file on [`Telemetry::close`].
-    prom: Option<(MetricsRegistry, String)>,
+    /// text-exposition file to `prom_path` on [`Telemetry::close`].
+    registry: Option<MetricsRegistry>,
+    prom_path: Option<String>,
 }
 
 impl Telemetry {
@@ -374,33 +375,44 @@ impl Telemetry {
                 Some(path) => Some(TraceWriter::new(BufWriter::new(File::create(path)?))),
                 None => None,
             },
-            prom: prom_path.map(|p| (MetricsRegistry::new(), p.to_string())),
+            registry: prom_path.map(|_| MetricsRegistry::new()),
+            prom_path: prom_path.map(str::to_string),
         })
     }
 
-    /// Runs `f` with the observer these sinks add up to ([`NoopObserver`]
-    /// when no telemetry was requested, so unobserved invocations stay on
-    /// the zero-overhead path).
+    /// Runs `f` with the observer these sinks add up to (an empty,
+    /// disabled fan-out when no telemetry was requested, so unobserved
+    /// invocations stay on the zero-overhead path).
     fn observe<R>(&self, f: impl FnOnce(&dyn Observer) -> R) -> R {
-        let registry = self
-            .prom
-            .as_ref()
-            .map(|(registry, _)| RegistryObserver::new(registry));
-        let mut sinks: Vec<&dyn Observer> = Vec::new();
-        if let Some(m) = &self.metrics {
-            sinks.push(m);
-        }
-        if let Some(t) = &self.trace {
-            sinks.push(t);
-        }
-        if let Some(r) = &registry {
-            sinks.push(r);
-        }
-        match sinks.as_slice() {
-            [] => f(&NoopObserver),
-            [only] => f(*only),
-            _ => f(&Fanout::new(sinks)),
-        }
+        let registry = self.registry_observer();
+        let sinks: Vec<&dyn Observer> = [
+            self.metrics.as_ref().map(|m| m as &dyn Observer),
+            self.trace.as_ref().map(|t| t as &dyn Observer),
+            registry.as_ref().map(|r| r as &dyn Observer),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        f(&Fanout::new(&sinks))
+    }
+
+    /// [`Telemetry::observe`] for batch runs, whose workers share one
+    /// observer: only the `Sync` sinks (trace writer, registry) take
+    /// part — the per-run collector is not one.
+    fn observe_sync<R>(&self, f: impl FnOnce(&(dyn Observer + Sync)) -> R) -> R {
+        let registry = self.registry_observer();
+        let sinks: Vec<&(dyn Observer + Sync)> = [
+            self.trace.as_ref().map(|t| t as &(dyn Observer + Sync)),
+            registry.as_ref().map(|r| r as &(dyn Observer + Sync)),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        f(&Fanout::new(&sinks))
+    }
+
+    fn registry_observer(&self) -> Option<RegistryObserver<'_>> {
+        self.registry.as_ref().map(RegistryObserver::new)
     }
 
     /// The metrics report of the most recent observed run, if `--metrics`
@@ -416,11 +428,40 @@ impl Telemetry {
         if let Some(trace) = self.trace {
             trace.finish()?.flush()?;
         }
-        if let Some((registry, path)) = self.prom {
+        if let (Some(registry), Some(path)) = (self.registry, self.prom_path) {
             std::fs::write(&path, registry.snapshot().to_prometheus())?;
         }
         Ok(())
     }
+}
+
+/// Parses an option value that must satisfy `valid`, reporting
+/// "invalid {what} `{value}`" otherwise.
+fn parse_arg<T: std::str::FromStr>(
+    value: &str,
+    what: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    value
+        .parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| CliError::Usage(format!("invalid {what} `{value}`")))
+}
+
+/// The `--key value` options of a command that takes no positionals.
+fn options_only<'a>(
+    command: &str,
+    args: &'a [String],
+) -> Result<Vec<(&'a str, &'a str)>, CliError> {
+    let (positional, options) = split_options(args)?;
+    if !positional.is_empty() {
+        return Err(CliError::Usage(format!(
+            "{command} takes options only, got `{}`",
+            positional.join(" ")
+        )));
+    }
+    Ok(options)
 }
 
 fn load_query(path: &str) -> Result<ParsedQuery, CliError> {
@@ -478,11 +519,7 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "trace-json" => trace_path = Some(value),
             "prom" => prom_path = Some(value),
             "threads" => {
-                threads = Some(
-                    value
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("invalid thread count `{value}`")))?,
-                );
+                threads = Some(parse_arg(value, "thread count", |_| true)?);
             }
             "batch" => batch = true,
             "memory-budget" => {
@@ -553,7 +590,8 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             // algorithm.
             if !matches!(algorithm, Algorithm::Auto) {
                 return Err(CliError::Usage(
-                    "this query has complex (multi-relation) predicates; only DPhyp                      applies — drop --algorithm"
+                    "this query has complex (multi-relation) predicates; only DPhyp \
+                     applies — drop --algorithm"
                         .into(),
                 ));
             }
@@ -645,30 +683,11 @@ fn cmd_optimize_batch(
         tenant_limit: requests.len(),
         cache: Some(CacheConfig::default()),
     });
-    let trace = match trace_path {
-        Some(path) => Some(TraceWriter::new(BufWriter::new(File::create(path)?))),
-        None => None,
-    };
-    let registry = prom_path.map(|_| MetricsRegistry::new());
-    let registry_obs = registry.as_ref().map(RegistryObserver::new);
-    let mut sinks: Vec<&(dyn Observer + Sync)> = Vec::new();
-    if let Some(t) = &trace {
-        sinks.push(t);
-    }
-    if let Some(r) = &registry_obs {
-        sinks.push(r);
-    }
-    let fanout = SyncFanout::new(sinks);
+    let telemetry = Telemetry::new(false, trace_path, prom_path)?;
     let start = Instant::now();
-    let results = service.submit_batch_observed(&requests, &fanout);
+    let results = telemetry.observe_sync(|obs| service.submit_batch_observed(&requests, obs));
     let elapsed = start.elapsed();
-    drop(registry_obs);
-    if let Some(t) = trace {
-        t.finish()?.flush()?;
-    }
-    if let (Some(registry), Some(path)) = (registry, prom_path) {
-        std::fs::write(path, registry.snapshot().to_prometheus())?;
-    }
+    telemetry.close()?;
     writeln!(
         out,
         "{:<4} {:>14} {:>14}  query",
@@ -807,9 +826,7 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             }
             "cost-model" => model = parse_cost_model(value)?,
             "threads" => {
-                threads = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid thread count `{value}`")))?;
+                threads = parse_arg(value, "thread count", |_| true)?;
             }
             "format" => {
                 format = match value {
@@ -880,9 +897,7 @@ fn cmd_generate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ));
     };
     let kind = parse_family(family)?;
-    let n: usize = n_text
-        .parse()
-        .map_err(|_| CliError::Usage(format!("invalid size `{n_text}`")))?;
+    let n: usize = parse_arg(n_text, "size", |_| true)?;
     if n == 0 || n > 64 {
         return Err(CliError::Usage(format!("size {n} out of range 1..=64")));
     }
@@ -890,9 +905,7 @@ fn cmd_generate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     for (key, value) in options {
         match key {
             "seed" => {
-                seed = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid seed `{value}`")))?;
+                seed = parse_arg(value, "seed", |_| true)?;
             }
             other => return Err(CliError::Usage(format!("unknown option --{other}"))),
         }
@@ -922,13 +935,7 @@ fn cmd_generate(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// `joinopt fuzz`: the differential conformance campaign as a CLI
 /// command, for CI smoke runs and for reproducing reported seeds.
 fn cmd_fuzz(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let (positional, options) = split_options(args)?;
-    if !positional.is_empty() {
-        return Err(CliError::Usage(format!(
-            "fuzz takes options only, got `{}`",
-            positional.join(" ")
-        )));
-    }
+    let options = options_only("fuzz", args)?;
     let mut config = joinopt_conformance::FuzzConfig {
         minimize: false,
         ..joinopt_conformance::FuzzConfig::default()
@@ -939,19 +946,13 @@ fn cmd_fuzz(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     for (key, value) in options {
         match key {
             "seed" => {
-                config.seed = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid seed `{value}`")))?;
+                config.seed = parse_arg(value, "seed", |_| true)?;
             }
             "iters" => {
-                config.iters = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid iteration count `{value}`")))?;
+                config.iters = parse_arg(value, "iteration count", |_| true)?;
             }
             "max-n" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid size `{value}`")))?;
+                let n: usize = parse_arg(value, "size", |_| true)?;
                 if !(2..=16).contains(&n) {
                     return Err(CliError::Usage(format!("--max-n {n} out of range 2..=16")));
                 }
@@ -968,34 +969,16 @@ fn cmd_fuzz(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     // Campaign-scale telemetry: a registry aggregates every reference
     // run (the per-run collector would only ever show the last one), so
     // --metrics here prints the registry's text snapshot.
-    let registry = (metrics || prom_path.is_some()).then(MetricsRegistry::new);
-    let registry_obs = registry.as_ref().map(RegistryObserver::new);
-    let trace = match trace_path {
-        Some(path) => Some(TraceWriter::new(BufWriter::new(File::create(path)?))),
-        None => None,
-    };
-    let mut sinks: Vec<&dyn Observer> = Vec::new();
-    if let Some(t) = &trace {
-        sinks.push(t);
+    let mut telemetry = Telemetry::new(false, trace_path, prom_path)?;
+    if metrics && telemetry.registry.is_none() {
+        telemetry.registry = Some(MetricsRegistry::new());
     }
-    if let Some(r) = &registry_obs {
-        sinks.push(r);
-    }
-    let fanout = Fanout::new(sinks);
     let start = Instant::now();
-    let report = joinopt_conformance::run_fuzz_observed(&config, &fanout);
-    drop(registry_obs);
-    if let Some(t) = trace {
-        t.finish()?.flush()?;
+    let report = telemetry.observe(|obs| joinopt_conformance::run_fuzz_observed(&config, obs));
+    if let (true, Some(registry)) = (metrics, &telemetry.registry) {
+        writeln!(out, "{}", registry.snapshot().to_text())?;
     }
-    if let Some(registry) = &registry {
-        if metrics {
-            writeln!(out, "{}", registry.snapshot().to_text())?;
-        }
-        if let Some(path) = prom_path {
-            std::fs::write(path, registry.snapshot().to_prometheus())?;
-        }
-    }
+    telemetry.close()?;
     writeln!(
         out,
         "fuzz: seed {}, {} instances (n ≤ {}) in {:.2?}",
@@ -1044,13 +1027,7 @@ fn cmd_fuzz(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// baseline file, or (`--check`) re-run a committed baseline's matrix
 /// and diff against it (the CI smoke gate uses `--counters-only`).
 fn cmd_perf(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let (positional, options) = split_options(args)?;
-    if !positional.is_empty() {
-        return Err(CliError::Usage(format!(
-            "perf takes options only, got `{}`",
-            positional.join(" ")
-        )));
-    }
+    let options = options_only("perf", args)?;
     let mut config = PerfConfig::default();
     let mut out_path = "BENCH_joinopt.json".to_string();
     let mut check_path: Option<String> = None;
@@ -1065,23 +1042,17 @@ fn cmd_perf(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "trace-json" => trace_path = Some(value),
             "prom" => prom_path = Some(value),
             "n" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid size `{value}`")))?;
+                let n: usize = parse_arg(value, "size", |_| true)?;
                 if !(2..=14).contains(&n) {
                     return Err(CliError::Usage(format!("--n {n} out of range 2..=14")));
                 }
                 config.n = n;
             }
             "reps" => {
-                config.reps = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid rep count `{value}`")))?;
+                config.reps = parse_arg(value, "rep count", |_| true)?;
             }
             "seed" => {
-                config.seed = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid seed `{value}`")))?;
+                config.seed = parse_arg(value, "seed", |_| true)?;
             }
             "threads" => {
                 config.threads = value
@@ -1095,11 +1066,8 @@ fn cmd_perf(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                     })?;
             }
             "noise" => {
-                config.noise = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|f| f.is_finite() && *f >= 0.0)
-                    .ok_or_else(|| CliError::Usage(format!("invalid noise factor `{value}`")))?;
+                config.noise =
+                    parse_arg::<f64>(value, "noise factor", |f| f.is_finite() && *f >= 0.0)?;
             }
             other => return Err(CliError::Usage(format!("unknown option --{other}"))),
         }
@@ -1170,13 +1138,7 @@ fn cmd_perf(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// check): it fails unless every request completed and the hit rate met
 /// the floor.
 fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let (positional, options) = split_options(args)?;
-    if !positional.is_empty() {
-        return Err(CliError::Usage(format!(
-            "load takes options only, got `{}`",
-            positional.join(" ")
-        )));
-    }
+    let options = options_only("load", args)?;
     let mut config = LoadConfig::default();
     let mut json_path: Option<&str> = None;
     let mut prom_path: Option<&str> = None;
@@ -1189,44 +1151,25 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "chaos" => chaos = true,
             "drivers" => {
                 chaos_tuned = true;
-                chaos_config.drivers = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&d| d >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("invalid driver count `{value}`")))?;
+                chaos_config.drivers = parse_arg::<usize>(value, "driver count", |&d| d >= 1)?;
             }
             "burst-faults" => {
                 chaos_tuned = true;
-                chaos_config.burst_faults = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&f| f >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("invalid fault count `{value}`")))?;
+                chaos_config.burst_faults = parse_arg::<usize>(value, "fault count", |&f| f >= 1)?;
             }
             "recheck" => {
                 chaos_tuned = true;
-                chaos_config.recheck_samples = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&s| s >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("invalid sample count `{value}`")))?;
+                chaos_config.recheck_samples =
+                    parse_arg::<usize>(value, "sample count", |&s| s >= 1)?;
             }
             "requests" => {
-                config.requests = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&r| r >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("invalid request count `{value}`")))?;
+                config.requests = parse_arg::<usize>(value, "request count", |&r| r >= 1)?;
             }
             "threads" => {
-                config.threads = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid thread count `{value}`")))?;
+                config.threads = parse_arg(value, "thread count", |_| true)?;
             }
             "seed" => {
-                config.seed = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid seed `{value}`")))?;
+                config.seed = parse_arg(value, "seed", |_| true)?;
             }
             "repeat-rate" => {
                 config.repeat_rate = value
@@ -1238,9 +1181,7 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                     })?;
             }
             "max-n" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid size `{value}`")))?;
+                let n: usize = parse_arg(value, "size", |_| true)?;
                 if !(4..=12).contains(&n) {
                     return Err(CliError::Usage(format!("--max-n {n} out of range 4..=12")));
                 }
@@ -1273,8 +1214,7 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "--drivers/--burst-faults/--recheck require --chaos".into(),
         ));
     }
-    let registry = prom_path.map(|_| MetricsRegistry::new());
-    let registry_obs = registry.as_ref().map(RegistryObserver::new);
+    let telemetry = Telemetry::new(false, None, prom_path)?;
     if chaos {
         if min_hit_rate.is_some() {
             return Err(CliError::Usage(
@@ -1282,15 +1222,10 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             ));
         }
         chaos_config.load = config;
-        let report = match &registry_obs {
-            Some(obs) => run_chaos(&chaos_config, obs),
-            None => run_chaos(&chaos_config, &NoopObserver),
-        }
-        .map_err(CliError::Regression)?;
-        drop(registry_obs);
-        if let (Some(registry), Some(path)) = (registry, prom_path) {
-            std::fs::write(path, registry.snapshot().to_prometheus())?;
-        }
+        let report = telemetry
+            .observe_sync(|obs| run_chaos(&chaos_config, obs))
+            .map_err(CliError::Regression)?;
+        telemetry.close()?;
         write!(out, "{}", report.render())?;
         if let Some(path) = json_path {
             std::fs::write(path, report.to_json())?;
@@ -1304,14 +1239,8 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         )?;
         return Ok(());
     }
-    let report = match &registry_obs {
-        Some(obs) => run_load_observed(&config, obs),
-        None => run_load(&config),
-    };
-    drop(registry_obs);
-    if let (Some(registry), Some(path)) = (registry, prom_path) {
-        std::fs::write(path, registry.snapshot().to_prometheus())?;
-    }
+    let report = telemetry.observe_sync(|obs| run_load(&config, obs));
+    telemetry.close()?;
     write!(out, "{}", report.render())?;
     if let Some(path) = json_path {
         std::fs::write(path, report.to_json())?;
@@ -1345,13 +1274,7 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// and graceful drain. `--smoke` runs the scripted protocol self-check
 /// instead and fails on any deviation.
 fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let (positional, options) = split_options(args)?;
-    if !positional.is_empty() {
-        return Err(CliError::Usage(format!(
-            "serve takes options only, got `{}`",
-            positional.join(" ")
-        )));
-    }
+    let options = options_only("serve", args)?;
     let mut config = ServerConfig {
         listen: Listen::Tcp("127.0.0.1:4006".into()),
         ..ServerConfig::default()
@@ -1380,9 +1303,7 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             }
             "prom" => config.prom_path = Some(value.into()),
             "drain-timeout-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid drain timeout `{value}`")))?;
+                let ms: u64 = parse_arg(value, "drain timeout", |_| true)?;
                 config.drain_timeout = std::time::Duration::from_millis(ms);
             }
             other => return Err(CliError::Usage(format!("unknown option --{other}"))),
@@ -1445,13 +1366,7 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// renders a single snapshot and exits (the testable/CI mode); without
 /// it the screen refreshes every `--interval-ms`.
 fn cmd_top(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let (positional, options) = split_options(args)?;
-    if !positional.is_empty() {
-        return Err(CliError::Usage(format!(
-            "top takes options only, got `{}`",
-            positional.join(" ")
-        )));
-    }
+    let options = options_only("top", args)?;
     let mut addr = "127.0.0.1:4006".to_string();
     let mut interval = std::time::Duration::from_millis(2000);
     let mut once = false;
@@ -1459,20 +1374,14 @@ fn cmd_top(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         match key {
             "addr" => addr = value.to_string(),
             "interval-ms" => {
-                let ms = value
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&ms| ms >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("invalid interval `{value}`")))?;
+                let ms = parse_arg::<u64>(value, "interval", |&ms| ms >= 1)?;
                 interval = std::time::Duration::from_millis(ms);
             }
             "once" => once = true,
             other => return Err(CliError::Usage(format!("unknown option --{other}"))),
         }
     }
-    let sock: std::net::SocketAddr = addr
-        .parse()
-        .map_err(|_| CliError::Usage(format!("invalid address `{addr}`")))?;
+    let sock: std::net::SocketAddr = parse_arg(&addr, "address", |_| true)?;
     let mut client = LineClient::connect(sock).map_err(CliError::Io)?;
     loop {
         let resp = client
@@ -1587,9 +1496,7 @@ fn cmd_counters(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         }
     }
     let kind = parse_family(family)?;
-    let max_n: u64 = max_text
-        .parse()
-        .map_err(|_| CliError::Usage(format!("invalid size `{max_text}`")))?;
+    let max_n: u64 = parse_arg(max_text, "size", |_| true)?;
     if max_n == 0 || max_n > 40 {
         return Err(CliError::Usage(format!("size {max_n} out of range 1..=40")));
     }

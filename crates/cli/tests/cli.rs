@@ -268,6 +268,21 @@ fn optimize_routes_complex_queries_to_dphyp() {
 }
 
 #[test]
+fn simple_graph_algorithm_on_a_complex_query_names_dphyp_exactly() {
+    let path = write_query_file(
+        "relation a 100\nrelation b 200\nrelation c 50\njoin a b 0.01\njoin a,b c 0.05\n",
+    );
+    match run_err(&["optimize", path.to_str().unwrap(), "--algorithm", "dpccp"]) {
+        CliError::Usage(msg) => assert_eq!(
+            msg,
+            "this query has complex (multi-relation) predicates; only DPhyp applies — \
+             drop --algorithm"
+        ),
+        other => panic!("expected a usage error, got {other:?}"),
+    }
+}
+
+#[test]
 fn compare_runs_dphyp_for_complex_queries() {
     let path = write_query_file(
         "relation a 100\nrelation b 200\nrelation c 50\njoin a b 0.01\njoin a,b c 0.05\n",

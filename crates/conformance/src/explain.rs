@@ -102,34 +102,4 @@ mod tests {
         let inst = generator::tie_rich_chain(6);
         assert!(explain_engine_divergence(&inst).is_none());
     }
-
-    /// The acceptance path: arming the engine tie-break inversion makes
-    /// the fuzz harness produce a failure whose explained diff
-    /// pinpoints the first inverted tie (failpoints builds only — the
-    /// flag compiles to `false` otherwise).
-    #[cfg(failpoints)]
-    #[test]
-    fn inverted_tiebreak_divergence_renders_an_explained_diff() {
-        use crate::oracle::check_instance;
-        use joinopt_core::failpoint::{self, FailAction};
-
-        failpoint::configure("engine-tiebreak-invert", FailAction::Error);
-        let inst = generator::tie_rich_chain(8);
-        let divergence = check_instance(&inst).expect_err("inverted tie-break diverges");
-        assert_eq!(divergence.check, "engine-vs-sequential");
-        let failure = Failure {
-            instance: inst,
-            divergence,
-            minimized: Some(crate::minimize(
-                &generator::tie_rich_chain(8),
-                |c| matches!(check_instance(c), Err(d) if d.check == "engine-vs-sequential"),
-            )),
-        };
-        let text = explain_failure(&failure).expect("engine divergence explains");
-        failpoint::clear("engine-tiebreak-invert");
-
-        assert!(text.contains("explained diff"), "{text}");
-        assert!(text.contains("first divergent decision"), "{text}");
-        assert!(text.contains("tie broken by enumeration order"), "{text}");
-    }
 }

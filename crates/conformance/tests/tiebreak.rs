@@ -5,11 +5,14 @@
 //! engine keep the *last* split on exact cost ties instead of the
 //! first canonical one. The cost is unchanged, so only the oracle's
 //! bit-identity comparison between the engine and the sequential
-//! driver can catch it — and the shrinking minimizer must reduce the
-//! divergent instance to a handful of relations.
+//! driver can catch it — the shrinking minimizer must reduce the
+//! divergent instance to a handful of relations, and the explained
+//! diff must pinpoint the first inverted tie. The failpoint registry is
+//! process-global, so this binary holds the crate's only test that
+//! arms it.
 #![cfg(failpoints)]
 
-use joinopt_conformance::{check_instance, generator, minimize};
+use joinopt_conformance::{check_instance, explain_failure, generator, minimize, Failure};
 use joinopt_core::failpoint::{self, FailAction};
 
 #[test]
@@ -41,6 +44,17 @@ fn injected_tiebreak_inversion_is_caught_and_minimized() {
     let dsl = minimal.to_dsl();
     let reparsed = generator::Instance::from_dsl(&dsl).expect("minimal repro round-trips");
     assert_eq!(reparsed.graph, minimal.graph);
+
+    // The failure explains itself down to the first divergent decision.
+    let failure = Failure {
+        instance: inst.clone(),
+        divergence,
+        minimized: Some(minimal),
+    };
+    let text = explain_failure(&failure).expect("engine divergence explains");
+    assert!(text.contains("explained diff"), "{text}");
+    assert!(text.contains("first divergent decision"), "{text}");
+    assert!(text.contains("tie broken by enumeration order"), "{text}");
 
     // Disarming restores full conformance.
     failpoint::clear("engine-tiebreak-invert");

@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use joinopt_telemetry::{Event, Observer};
+
 /// Process-global count of [`Clock::now_ns`] calls, for the
 /// zero-overhead pinning tests.
 static CLOCK_READS: AtomicU64 = AtomicU64::new(0);
@@ -113,6 +115,75 @@ impl Clock {
         if let Inner::Manual { now_ns } = &self.inner {
             let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
             now_ns.fetch_add(ns, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Emits one request's stage events ([`Event::StageBegin`] and
+/// friends), stamped from a [`Clock`]. When the observer does not want
+/// spans ([`Observer::wants_spans`]), every method is a no-op that reads
+/// no clock — the contract `tests/trace_overhead.rs` pins.
+pub(crate) struct StageClock<'a> {
+    clock: &'a Clock,
+    obs: Option<&'a dyn Observer>,
+}
+
+impl<'a> StageClock<'a> {
+    pub(crate) fn new(clock: &'a Clock, obs: &'a dyn Observer) -> StageClock<'a> {
+        StageClock {
+            clock,
+            obs: (obs.enabled() && obs.wants_spans()).then_some(obs),
+        }
+    }
+
+    /// Opens `stage` at an already-read `now_ns`.
+    pub(crate) fn begin_at(&self, stage: &'static str, now_ns: u64) {
+        if let Some(obs) = self.obs {
+            obs.on_event(Event::StageBegin { stage, now_ns });
+        }
+    }
+
+    /// Opens `stage` now.
+    pub(crate) fn begin(&self, stage: &'static str) {
+        self.emit(|now_ns| [Event::StageBegin { stage, now_ns }]);
+    }
+
+    /// Closes the most recently opened stage now.
+    pub(crate) fn end(&self) {
+        self.emit(|now_ns| [Event::StageEnd { now_ns }]);
+    }
+
+    /// Closes every open stage now.
+    pub(crate) fn close_all(&self) {
+        self.emit(|now_ns| [Event::StageCloseAll { now_ns }]);
+    }
+
+    /// Closes the current stage and opens `stage` at one clock reading.
+    pub(crate) fn end_then_begin(&self, stage: &'static str) {
+        self.emit(|now_ns| {
+            [
+                Event::StageEnd { now_ns },
+                Event::StageBegin { stage, now_ns },
+            ]
+        });
+    }
+
+    /// Closes every open stage and opens `stage` at one clock reading.
+    pub(crate) fn close_all_then_begin(&self, stage: &'static str) {
+        self.emit(|now_ns| {
+            [
+                Event::StageCloseAll { now_ns },
+                Event::StageBegin { stage, now_ns },
+            ]
+        });
+    }
+
+    /// Reads the clock once and emits `events(now_ns)` in order.
+    fn emit<const N: usize>(&self, events: impl FnOnce(u64) -> [Event; N]) {
+        if let Some(obs) = self.obs {
+            for event in events(self.clock.now_ns()) {
+                obs.on_event(event);
+            }
         }
     }
 }

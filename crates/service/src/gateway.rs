@@ -32,7 +32,10 @@
 //! ([`Event::ServeAccepted`], [`Event::ServeShed`],
 //! [`Event::ServeRetried`], [`Event::ServeBreakerOpen`],
 //! [`Event::ServeDrained`]), which the registry folds into the
-//! `joinopt_serve_*_total` series.
+//! `joinopt_serve_*_total` series. For an observer that opts into spans
+//! ([`Observer::wants_spans`]) it also emits the stage events a
+//! [`TraceSink`](joinopt_telemetry::TraceSink) folds into the request's
+//! flight record.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -40,10 +43,10 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use joinopt_core::{OptimizeError, Session};
-use joinopt_telemetry::{Event, Observer, RequestTrace};
+use joinopt_telemetry::{Event, Observer};
 
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
-use crate::clock::Clock;
+use crate::clock::{Clock, StageClock};
 use crate::retry::{RetryBudget, RetryConfig, RetryPolicy};
 use crate::service::{OptimizerService, Priority, ServiceOutcome, ServiceRequest};
 
@@ -236,8 +239,14 @@ impl Gateway {
     }
 
     /// A gateway on an explicit (possibly manual) clock.
-    pub fn with_clock(service: OptimizerService, config: GatewayConfig, clock: Clock) -> Gateway {
+    pub fn with_clock(
+        mut service: OptimizerService,
+        config: GatewayConfig,
+        clock: Clock,
+    ) -> Gateway {
         let policy = RetryPolicy::new(config.retry.clone(), config.seed);
+        // The service stamps its stage events from the same clock.
+        service.clock = clock.clone();
         Gateway {
             service,
             config,
@@ -337,6 +346,14 @@ impl Gateway {
     /// Runs one request through the full lifecycle. `deadline` is the
     /// end-to-end allowance measured from this call; `session` is the
     /// caller's pooled optimizer session.
+    ///
+    /// When `obs` wants spans ([`Observer::wants_spans`]), each
+    /// lifecycle stage (shed-check, breaker, per-attempt
+    /// cache-lookup/optimize, retry backoffs) is reported as stage
+    /// events stamped from the gateway's clock, and every error path
+    /// closes the stages it left open. Otherwise this path performs
+    /// only the lifecycle's own clock reads, which the pinned test in
+    /// `tests/trace_overhead.rs` holds it to via [`crate::clock_reads`].
     pub fn handle(
         &self,
         req: &ServiceRequest,
@@ -344,81 +361,45 @@ impl Gateway {
         session: &mut Option<Session>,
         obs: &dyn Observer,
     ) -> Result<ServiceOutcome, GatewayError> {
-        self.handle_traced(req, deadline, session, obs, None)
-    }
-
-    /// [`Gateway::handle`] with an optional flight recorder: when
-    /// `trace` is `Some`, each lifecycle stage (shed-check, breaker,
-    /// per-attempt cache-lookup/optimize, retry backoffs) lands as a
-    /// [`RequestTrace`] span and rejections/failures stamp their kind
-    /// on the trace. When `trace` is `None` this path performs exactly
-    /// the clock reads of the untraced lifecycle — every span timestamp
-    /// below is gated on the trace — which the pinned test in
-    /// `tests/trace_overhead.rs` holds it to via [`crate::clock_reads`].
-    pub fn handle_traced(
-        &self,
-        req: &ServiceRequest,
-        deadline: Option<Duration>,
-        session: &mut Option<Session>,
-        obs: &dyn Observer,
-        mut trace: Option<&mut RequestTrace>,
-    ) -> Result<ServiceOutcome, GatewayError> {
+        let stages = StageClock::new(&self.clock, obs);
         let admitted_ns = self.clock.now_ns();
-        if let Some(tr) = trace.as_mut() {
-            tr.begin("shed-check", admitted_ns);
-        }
+        stages.begin_at("shed-check", admitted_ns);
 
-        if self.is_draining() {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            if obs.enabled() {
-                obs.on_event(Event::ServeShed {
-                    priority: req.priority.name(),
-                });
-            }
-            if let Some(tr) = trace.as_mut() {
-                tr.close_open(self.clock.now_ns());
-                tr.error_kind = Some("draining");
-            }
-            return Err(GatewayError::Rejected(Rejection::Draining {
-                retry_after: self.config.shed.retry_after,
-            }));
-        }
-
-        // Watermark shedding: the comparison and the in-flight
-        // increment happen under a single lock acquisition, so racing
-        // admissions cannot collectively overshoot the watermark.
+        // A draining gateway refuses new work; otherwise watermark
+        // shedding compares and increments the in-flight count under a
+        // single lock acquisition, so racing admissions cannot
+        // collectively overshoot the watermark.
         let watermark = match req.priority {
             Priority::Low => self.config.shed.low_watermark,
             Priority::Normal => self.config.shed.high_watermark,
             Priority::High => self.config.shed.max_in_flight,
         }
         .min(self.config.shed.max_in_flight);
-        let _guard = match InFlightGuard::try_enter(self, watermark) {
+        let retry_after = self.config.shed.retry_after;
+        let admitted = if self.is_draining() {
+            Err(Rejection::Draining { retry_after })
+        } else {
+            InFlightGuard::try_enter(self, watermark).map_err(|in_flight| Rejection::Shed {
+                priority: req.priority,
+                in_flight,
+                retry_after,
+            })
+        };
+        let _guard = match admitted {
             Ok(guard) => guard,
-            Err(in_flight) => {
+            Err(rejection) => {
                 self.shed.fetch_add(1, Ordering::Relaxed);
                 if obs.enabled() {
                     obs.on_event(Event::ServeShed {
                         priority: req.priority.name(),
                     });
                 }
-                if let Some(tr) = trace.as_mut() {
-                    tr.close_open(self.clock.now_ns());
-                    tr.error_kind = Some("shed");
-                }
-                return Err(GatewayError::Rejected(Rejection::Shed {
-                    priority: req.priority,
-                    in_flight,
-                    retry_after: self.config.shed.retry_after,
-                }));
+                stages.close_all();
+                return Err(GatewayError::Rejected(rejection));
             }
         };
 
-        if let Some(tr) = trace.as_mut() {
-            let t = self.clock.now_ns();
-            tr.end(t);
-            tr.begin("breaker", t);
-        }
+        stages.end_then_begin("breaker");
 
         // Per-tenant breaker admission. A breaker rejection releases
         // the just-reserved in-flight slot via the guard's drop.
@@ -432,18 +413,13 @@ impl Gateway {
             {
                 drop(tenants);
                 self.breaker_rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(tr) = trace.as_mut() {
-                    tr.close_open(self.clock.now_ns());
-                    tr.error_kind = Some("breaker-open");
-                }
+                stages.close_all();
                 return Err(GatewayError::Rejected(Rejection::BreakerOpen {
                     retry_after,
                 }));
             }
         }
-        if let Some(tr) = trace.as_mut() {
-            tr.end(self.clock.now_ns());
-        }
+        stages.end();
 
         self.accepted.fetch_add(1, Ordering::Relaxed);
         if obs.enabled() {
@@ -467,10 +443,7 @@ impl Gateway {
             if let Some(d) = deadline {
                 let elapsed = Duration::from_nanos(self.clock.now_ns().saturating_sub(admitted_ns));
                 let Some(remaining) = d.checked_sub(elapsed).filter(|r| !r.is_zero()) else {
-                    if let Some(tr) = trace.as_mut() {
-                        tr.close_open(self.clock.now_ns());
-                        tr.error_kind = Some("timeout");
-                    }
+                    stages.close_all();
                     return Err(self.finish_failed(
                         req,
                         OptimizeError::TimeBudgetExceeded { budget: d },
@@ -483,13 +456,7 @@ impl Gateway {
                 });
             }
 
-            let tracer = trace
-                .as_mut()
-                .map(|tr| (&self.clock, attempt, &mut **tr) as crate::service::AttemptTracer<'_>);
-            match self
-                .service
-                .submit_one_traced(&effective, session, obs, tracer)
-            {
+            match self.service.submit_one(&effective, session, obs) {
                 Ok(outcome) => {
                     self.completed.fetch_add(1, Ordering::Relaxed);
                     let mut tenants = lock(&self.tenants);
@@ -502,27 +469,20 @@ impl Gateway {
                 Err(e) if is_transient(&e) && self.may_retry(req, attempt) => {
                     attempt += 1;
                     self.retried.fetch_add(1, Ordering::Relaxed);
+                    // The retry event also tags the stages that follow
+                    // with this attempt number.
                     if obs.enabled() {
                         obs.on_event(Event::ServeRetried { attempt });
                     }
-                    // A panicking attempt unwound past its span closes;
+                    // A panicking attempt unwound past its stage closes;
                     // close them here and time the backoff sleep itself.
-                    if let Some(tr) = trace.as_mut() {
-                        let t = self.clock.now_ns();
-                        tr.close_open(t);
-                        tr.begin_attempt("retry-backoff", attempt, t);
-                    }
+                    stages.close_all_then_begin("retry-backoff");
                     let delay = lock(&self.policy).backoff(attempt - 1);
                     self.clock.sleep(delay);
-                    if let Some(tr) = trace.as_mut() {
-                        tr.end(self.clock.now_ns());
-                    }
+                    stages.end();
                 }
                 Err(e) => {
-                    if let Some(tr) = trace.as_mut() {
-                        tr.close_open(self.clock.now_ns());
-                        tr.error_kind = Some(error_kind(&e));
-                    }
+                    stages.close_all();
                     return Err(self.finish_failed(req, e, obs));
                 }
             }
@@ -660,7 +620,7 @@ mod tests {
     use crate::spec::QuerySpec;
     use joinopt_cost::workload::family_workload;
     use joinopt_qgraph::GraphKind;
-    use joinopt_telemetry::NoopObserver;
+    use joinopt_telemetry::{NoopObserver, RequestTrace, TraceSink};
 
     fn spec(n: usize, seed: u64) -> QuerySpec {
         let w = family_workload(GraphKind::Chain, n, seed);
@@ -883,6 +843,44 @@ mod tests {
         // closes the breaker.
         assert!(gw.handle(&req, None, &mut session, &NoopObserver).is_ok());
         assert_eq!(gw.breaker_state("acme"), BreakerState::Closed);
+    }
+
+    #[test]
+    fn refusals_and_timeouts_close_every_stage_span() {
+        let gw = gateway(GatewayConfig {
+            shed: ShedConfig {
+                low_watermark: 0,
+                ..ShedConfig::default()
+            },
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                ..BreakerConfig::default()
+            },
+            ..GatewayConfig::default()
+        });
+        let acme = ServiceRequest::new(spec(5, 60)).with_tenant("acme");
+        let low = ServiceRequest::new(spec(5, 61)).with_priority(Priority::Low);
+        // In order: a zero deadline times out and opens acme's breaker,
+        // which then refuses acme; a low-priority request sheds at the
+        // zero watermark; once draining, everything is refused.
+        let cases = [
+            (&acme, Some(Duration::ZERO), "timeout", "shed-check,breaker"),
+            (&acme, None, "breaker-open", "shed-check,breaker"),
+            (&low, None, "shed", "shed-check"),
+            (&acme, None, "draining", "shed-check"),
+        ];
+        for (req, deadline, kind, stages) in cases {
+            if kind == "draining" {
+                gw.begin_drain();
+            }
+            let sink = TraceSink::new(RequestTrace::new("t".into(), "", "optimize", 0));
+            let err = gw.handle(req, deadline, &mut None, &sink).unwrap_err();
+            let trace = sink.into_trace();
+            assert_eq!(err.kind(), kind);
+            assert_eq!(trace.open_count(), 0, "{kind} left a stage open");
+            let seen: Vec<_> = trace.spans().iter().map(|s| s.stage).collect();
+            assert_eq!(seen.join(","), stages, "{kind}");
+        }
     }
 
     #[test]

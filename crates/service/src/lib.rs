@@ -60,7 +60,6 @@ pub use gateway::{
 pub use retry::{RetryBudget, RetryConfig, RetryPolicy};
 pub use server::{ServeSummary, Server, ServerConfig, TraceConfig};
 pub use service::{
-    AttemptTracer, CostModelId, OptimizerService, Priority, ServiceConfig, ServiceOutcome,
-    ServiceRequest,
+    CostModelId, OptimizerService, Priority, ServiceConfig, ServiceOutcome, ServiceRequest,
 };
 pub use spec::{CatalogSpec, QuerySpec};

@@ -68,8 +68,8 @@ use std::time::Duration;
 use joinopt_core::{Algorithm, Session};
 use joinopt_telemetry::json::{write_escaped, JsonObject, JsonValue};
 use joinopt_telemetry::{
-    MetricsRegistry, Observer, RegistryObserver, RequestTrace, TraceIdMinter, TraceLog,
-    WindowConfig, WindowedMetrics,
+    Fanout, MetricsRegistry, NoopObserver, Observer, RegistryObserver, RequestTrace, TraceIdMinter,
+    TraceLog, TraceSink, WindowConfig, WindowedMetrics,
 };
 
 use crate::gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats};
@@ -728,7 +728,8 @@ fn slow_response(telemetry: &ServeTelemetry, echo: Echo<'_>) -> String {
 
 /// Builds and runs one optimize request through the gateway, recording
 /// a [`RequestTrace`] (accept → lifecycle stages → respond) when
-/// tracing is enabled.
+/// tracing is enabled: a [`TraceSink`] teed with `obs` folds the
+/// gateway's stage events.
 fn optimize_response(
     gateway: &Gateway,
     telemetry: &ServeTelemetry,
@@ -757,17 +758,22 @@ fn optimize_response(
             return error_response("optimize", echo, error_type, &message)
         }
     };
-    let mut trace = match (accept_start, &trace_id) {
+    let sink = match (accept_start, &trace_id) {
         (Some(t0), Some(tid)) => {
             let mut tr = RequestTrace::new(tid.clone(), &req.tenant, "optimize", t0);
             tr.span("accept", t0, gateway.clock().now_ns());
-            Some(tr)
+            Some(TraceSink::new(tr))
         }
         _ => None,
     };
 
-    let result = gateway.handle_traced(&req, deadline, session, obs, trace.as_mut());
+    let trace_sink = sink.as_ref().map_or(&NoopObserver as &dyn Observer, |s| s);
+    let result = gateway.handle(&req, deadline, session, &Fanout::new(&[obs, trace_sink]));
+    let mut trace = sink.map(TraceSink::into_trace);
     let respond_start = trace.as_ref().map(|_| gateway.clock().now_ns());
+    if let (Some(tr), Err(err)) = (trace.as_mut(), &result) {
+        tr.error_kind = Some(err.kind());
+    }
 
     let (status, response) = match result {
         Ok(outcome) => {
@@ -1562,10 +1568,22 @@ mod tests {
             Some("draining")
         );
         expect_id(&r, "draining rejection");
+        let trace_id = r.get("trace_id").and_then(|v| v.as_str());
         assert!(
-            r.get("trace_id").and_then(|v| v.as_str()).is_some(),
+            trace_id.is_some(),
             "rejections still carry a trace_id: {r:?}"
         );
+        // The retained trace records the gateway's error kind.
+        let fetched = call_dispatch(
+            &gateway,
+            &telemetry,
+            &format!(
+                "{{\"verb\":\"trace\",\"trace_id\":\"{}\"}}",
+                trace_id.unwrap()
+            ),
+        );
+        let trace = fetched.get("trace").expect("rejections are traced");
+        assert_eq!(trace.get("error_type"), r.get("error_type"));
     }
 
     #[test]

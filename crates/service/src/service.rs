@@ -35,18 +35,12 @@ use joinopt_core::{
     Algorithm, BudgetAction, DegradationInfo, DpResult, OptimizeError, OptimizeRequest, Session,
 };
 use joinopt_cost::{CostModel, Cout, HashJoin, MinOverPhysical, NestedLoopJoin, SortMergeJoin};
-use joinopt_telemetry::{NoopObserver, Observer, RequestTrace};
+use joinopt_telemetry::{NoopObserver, Observer};
 
 use crate::cache::{CacheConfig, PlanCache};
-use crate::clock::Clock;
+use crate::clock::{Clock, StageClock};
 use crate::fingerprint::canonicalize;
 use crate::spec::QuerySpec;
-
-/// The gateway's per-attempt tracing hookup: the clock that stamps
-/// span boundaries, the 0-based retry attempt, and the request's
-/// flight record. Bundled as a tuple so the untraced path stays a
-/// single `None`.
-pub type AttemptTracer<'a> = (&'a Clock, u32, &'a mut RequestTrace);
 
 /// The cost models the service can name — a closed, hashable id so the
 /// cache key stays `Copy` and model identity is never a dangling
@@ -285,6 +279,9 @@ pub struct ServiceOutcome {
 pub struct OptimizerService {
     config: ServiceConfig,
     cache: Option<PlanCache>,
+    /// Stamps the `cache-lookup`/`optimize` stage events; a
+    /// [`crate::Gateway`] installs its own clock here.
+    pub(crate) clock: Clock,
 }
 
 impl Default for OptimizerService {
@@ -297,7 +294,11 @@ impl OptimizerService {
     /// A service with the given sizing.
     pub fn new(config: ServiceConfig) -> OptimizerService {
         let cache = config.cache.map(PlanCache::new);
-        OptimizerService { config, cache }
+        OptimizerService {
+            config,
+            cache,
+            clock: Clock::system(),
+        }
     }
 
     /// The plan cache, when one is configured.
@@ -414,31 +415,19 @@ impl OptimizerService {
     /// Skips batch admission (the server gateway does its own shedding
     /// and breaker checks before calling this), shares the plan cache,
     /// isolates panics exactly like a batch worker, and reuses the
-    /// caller's pooled session across calls.
+    /// caller's pooled session across calls. When `obs` wants spans
+    /// ([`Observer::wants_spans`]), the cache probe and the engine run
+    /// are reported as `cache-lookup` / `optimize` stage events;
+    /// otherwise this path reads no clock at all (the zero-overhead
+    /// contract pinned in `tests/trace_overhead.rs`).
     pub fn submit_one(
         &self,
         req: &ServiceRequest,
         session: &mut Option<Session>,
         obs: &dyn Observer,
     ) -> Result<ServiceOutcome, OptimizeError> {
-        self.submit_one_traced(req, session, obs, None)
-    }
-
-    /// [`OptimizerService::submit_one`] with the gateway's flight
-    /// recorder: when `tracer` is `Some`, the cache probe and the
-    /// engine run land as `cache-lookup` / `optimize` spans stamped
-    /// from the gateway's clock and tagged with the retry attempt.
-    /// `None` keeps this path free of clock reads entirely (the
-    /// zero-overhead contract pinned in `tests/trace_overhead.rs`).
-    pub fn submit_one_traced(
-        &self,
-        req: &ServiceRequest,
-        session: &mut Option<Session>,
-        obs: &dyn Observer,
-        tracer: Option<AttemptTracer<'_>>,
-    ) -> Result<ServiceOutcome, OptimizeError> {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.answer(session, req, obs, tracer)
+            self.answer(session, req, obs)
         }));
         match outcome {
             Ok(r) => r,
@@ -464,9 +453,9 @@ impl OptimizerService {
         session: &mut Option<Session>,
         req: &ServiceRequest,
         obs: &dyn Observer,
-        mut tracer: Option<AttemptTracer<'_>>,
     ) -> Result<ServiceOutcome, OptimizeError> {
         joinopt_core::failpoint::check("serve-worker-panic")?;
+        let stages = StageClock::new(&self.clock, obs);
         let started = Instant::now();
         let model = req.cost_model.model();
         let model_id = req.cost_model.name();
@@ -482,9 +471,7 @@ impl OptimizerService {
         // Probe the cache (fingerprinting is skipped entirely when no
         // cache is configured). The canonicalization is billed to the
         // cache-lookup span: it exists only to produce the cache key.
-        if let Some((clock, attempt, tr)) = tracer.as_mut() {
-            tr.begin_attempt("cache-lookup", *attempt, clock.now_ns());
-        }
+        stages.begin("cache-lookup");
         let mut canon = self.cache.as_ref().map(|_| canonicalize(&req.spec));
         if let Some(c) = canon.as_mut() {
             if joinopt_core::failpoint::flag("serve-cache-poison") {
@@ -506,9 +493,7 @@ impl OptimizerService {
                 &canon.order,
                 obs,
             ) {
-                if let Some((clock, _, tr)) = tracer.as_mut() {
-                    tr.end(clock.now_ns());
-                }
+                stages.end();
                 return Ok(ServiceOutcome {
                     result: DpResult {
                         tree: hit.tree,
@@ -528,11 +513,7 @@ impl OptimizerService {
 
         // Miss (or no cache): the optimize span covers graph
         // instantiation, the engine run and the post-run cache store.
-        if let Some((clock, attempt, tr)) = tracer.as_mut() {
-            let t = clock.now_ns();
-            tr.end(t);
-            tr.begin_attempt("optimize", *attempt, t);
-        }
+        stages.end_then_begin("optimize");
         let (graph, catalog) = req.spec.instantiate()?;
         let mut s = session.take().unwrap_or_default();
         let mut request = OptimizeRequest::new(&graph, &catalog)
@@ -573,9 +554,7 @@ impl OptimizerService {
                 );
             }
         }
-        if let Some((clock, _, tr)) = tracer.as_mut() {
-            tr.end(clock.now_ns());
-        }
+        stages.end();
         Ok(ServiceOutcome {
             result: outcome.result,
             algorithm: outcome.algorithm,

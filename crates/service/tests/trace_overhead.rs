@@ -1,8 +1,10 @@
-//! Pinned behavior: with no [`RequestTrace`] attached, the gateway's
-//! request path reads the clock a **fixed, minimal** number of times
-//! and produces bit-identical plans — the zero-overhead promise of the
-//! serve-path tracing, mirroring the core engine's
-//! `engine_clock_reads()` contract for the service layer.
+//! Pinned behavior: under an observer that wants no stage spans, the
+//! gateway's request path reads the clock a **fixed, minimal** number
+//! of times and produces bit-identical plans — the zero-overhead
+//! promise of the serve-path tracing, mirroring the core engine's
+//! `engine_clock_reads()` contract for the service layer. It holds for
+//! the disabled [`NoopObserver`] and for the enabled
+//! [`RegistryObserver`] that `joinopt serve --no-trace` runs under.
 //!
 //! This lives in its own integration-test binary on purpose: it is the
 //! sole user of the process-global [`clock_reads`] counter, so no
@@ -15,9 +17,11 @@ use joinopt_cost::workload;
 use joinopt_qgraph::GraphKind;
 use joinopt_service::{
     clock_reads, Clock, Gateway, GatewayConfig, OptimizerService, QuerySpec, ServiceConfig,
-    ServiceRequest,
+    ServiceOutcome, ServiceRequest,
 };
-use joinopt_telemetry::{NoopObserver, RequestTrace};
+use joinopt_telemetry::{
+    Fanout, MetricsRegistry, NoopObserver, Observer, RegistryObserver, RequestTrace, TraceSink,
+};
 
 fn request(seed: u64) -> ServiceRequest {
     let w = workload::family_workload(GraphKind::Chain, 6, seed);
@@ -33,72 +37,100 @@ fn manual_gateway() -> Gateway {
     )
 }
 
-/// One test function on purpose: the counter is global, so the checks
-/// must run sequentially even under the default parallel test runner.
-#[test]
-fn untraced_serve_path_is_zero_overhead() {
-    let obs = NoopObserver;
+/// Runs a cold, a warm and a deadlined request under `obs` on a fresh
+/// gateway, pins each to its minimal clock-read count, and returns the
+/// cold outcome.
+fn assert_spanless_reads(obs: &dyn Observer, label: &str) -> ServiceOutcome {
     let gateway = manual_gateway();
     let mut session = None;
     let req = request(0);
 
-    // Untraced, no deadline: admission stamp + breaker admission — two
-    // reads, cold or warm. Any third read is tracing leaking into the
+    // No deadline: admission stamp + breaker admission — two reads,
+    // cold or warm. Any third read is span tracing leaking into the
     // fast path.
     let before = clock_reads();
     let cold = gateway
-        .handle(&req, None, &mut session, &obs)
+        .handle(&req, None, &mut session, obs)
         .expect("cold optimize");
-    let cold_reads = clock_reads() - before;
     assert!(!cold.cache_hit);
     assert_eq!(
-        cold_reads, 2,
-        "untraced cold request must cost exactly two clock reads"
+        clock_reads() - before,
+        2,
+        "{label}: cold request must cost exactly two clock reads"
     );
 
     let before = clock_reads();
     let warm = gateway
-        .handle(&req, None, &mut session, &obs)
+        .handle(&req, None, &mut session, obs)
         .expect("warm optimize");
-    let warm_reads = clock_reads() - before;
     assert!(warm.cache_hit);
     assert_eq!(
-        warm_reads, 2,
-        "untraced warm request must cost exactly two clock reads"
+        clock_reads() - before,
+        2,
+        "{label}: warm request must cost exactly two clock reads"
     );
 
     // A lifecycle deadline adds exactly one read per attempt (the
     // remaining-allowance computation), nothing more.
     let before = clock_reads();
     gateway
-        .handle(&req, Some(Duration::from_secs(10)), &mut session, &obs)
+        .handle(&req, Some(Duration::from_secs(10)), &mut session, obs)
         .expect("deadlined optimize");
     assert_eq!(
         clock_reads() - before,
         3,
-        "a deadline costs exactly one extra read per attempt"
+        "{label}: a deadline costs exactly one extra read per attempt"
+    );
+    cold
+}
+
+/// One test function on purpose: the counter is global, so the checks
+/// must run sequentially even under the default parallel test runner.
+#[test]
+fn untraced_serve_path_is_zero_overhead() {
+    let cold = assert_spanless_reads(&NoopObserver, "NoopObserver");
+
+    // Enabled, but wanting no spans: the registry receives the serve
+    // events yet costs the request path no extra clock read.
+    let registry = MetricsRegistry::new();
+    let registry_obs = RegistryObserver::new(&registry);
+    let registry_cold = assert_spanless_reads(&registry_obs, "RegistryObserver");
+    assert_eq!(
+        registry
+            .snapshot()
+            .counter("joinopt_serve_accepted_total", &[("priority", "normal")]),
+        Some(3),
+        "the registry saw every admitted request"
+    );
+    assert_eq!(
+        registry_cold.result.cost.to_bits(),
+        cold.result.cost.to_bits()
     );
 
-    // Traced, the same request pays for its span boundaries — strictly
-    // more reads — while the plan's cost bits stay identical: tracing
+    // Traced — the registry teed with a span sink, as the server runs —
+    // the same request pays for its span boundaries, strictly more
+    // reads, while the plan's cost bits stay identical: tracing
     // observes the computation, never steers it.
     let traced_gateway = manual_gateway();
     let mut traced_session = None;
-    let mut trace = RequestTrace::new(
+    let req = request(0);
+    let sink = TraceSink::new(RequestTrace::new(
         "t-overhead".to_string(),
         &req.tenant,
         "optimize",
         traced_gateway.clock().now_ns(),
-    );
+    ));
+    let sinks: [&dyn Observer; 2] = [&registry_obs, &sink];
     let before = clock_reads();
     let traced = traced_gateway
-        .handle_traced(&req, None, &mut traced_session, &obs, Some(&mut trace))
+        .handle(&req, None, &mut traced_session, &Fanout::new(&sinks))
         .expect("traced optimize");
     let traced_reads = clock_reads() - before;
     assert!(
-        traced_reads > cold_reads,
-        "tracing must actually record span boundaries ({traced_reads} vs {cold_reads})"
+        traced_reads > 2,
+        "tracing must actually record span boundaries ({traced_reads} reads)"
     );
+    let trace = sink.into_trace();
     assert_eq!(trace.open_count(), 0, "all spans closed on success");
     assert!(
         trace.spans().iter().any(|s| s.stage == "optimize"),

@@ -13,8 +13,10 @@
 //!   constructed, no clocks read, nothing allocated.
 //! * [`Event`] — the vocabulary: run/phase spans (`init`, `enumerate`,
 //!   `extract`), per-size DP-level progress, DP-table statistics
-//!   (entries/capacity/probes/hits), plan-arena accounting, and the
-//!   paper's counters.
+//!   (entries/capacity/probes/hits), plan-arena accounting, the
+//!   paper's counters, and the service layer's cache, gateway and
+//!   serve-stage events. It is the one instrumentation channel: the
+//!   engine, the plan cache and the serve path all report through it.
 //! * [`MetricsCollector`] — aggregates a run into a [`RunReport`] with
 //!   `Display`, JSON-line and CSV serializations (no external deps).
 //! * [`TraceWriter`] — streams every event as a JSON line (with
@@ -23,17 +25,19 @@
 //!   provenance events ([`Observer::wants_provenance`]) into per-subset
 //!   [`DecisionRecord`]s: winning split, runner-up, cost delta,
 //!   candidates considered, pruning reason.
-//! * [`Tee`] — fans events out to two observers; [`Fanout`] /
-//!   [`SyncFanout`] to any number.
+//! * [`Fanout`] — fans events out to any number of borrowed observers;
+//!   `Fanout<dyn Observer + Sync>` for batch runs.
 //! * [`MetricsRegistry`] — fleet-grade aggregation: Counter / Gauge /
 //!   log-linear Histogram (p50/p90/p99/max) metrics fed across runs,
 //!   sessions and batches by a [`RegistryObserver`], exported as
 //!   Prometheus text exposition or a JSON [`Snapshot`].
-//! * [`RequestTrace`] / [`TraceLog`] — request-scoped flight recording
-//!   for the serve path: ordered stage spans (shed-check, breaker,
-//!   cache-lookup, per-attempt optimize, …) with the resolved
-//!   algorithm, cache hit and error kind, retained bounded (recent ring
-//!   + worst-K slowest) behind the server's `trace`/`slow` verbs.
+//! * [`RequestTrace`] / [`TraceSink`] / [`TraceLog`] — request-scoped
+//!   flight recording for the serve path: a [`TraceSink`] opts into the
+//!   stage events ([`Observer::wants_spans`]) and folds them into
+//!   ordered stage spans (shed-check, breaker, cache-lookup,
+//!   per-attempt optimize, …) with the resolved algorithm, cache hit
+//!   and error kind, retained bounded (recent ring + worst-K slowest)
+//!   behind the server's `trace`/`slow` verbs.
 //! * [`WindowedMetrics`] — rolling time-window aggregation: a ring of
 //!   fixed-width [`Histogram`] buckets giving windowed p50/p99 and
 //!   rates per (tenant, verb, stage), deterministic under a manual
@@ -76,11 +80,11 @@ pub mod window;
 
 pub use flame::{collapse_trace, FlameError};
 pub use metrics::{LevelCount, MetricsCollector, PhaseSpan, RunReport, WorkerLevel};
-pub use observer::{current_thread_id, Event, Fanout, NoopObserver, Observer, SyncFanout, Tee};
+pub use observer::{current_thread_id, Event, Fanout, NoopObserver, Observer};
 pub use provenance::{DecisionRecord, ProvenanceCollector, SplitChoice};
 pub use registry::{
     Histogram, MetricValue, MetricsRegistry, RegistryObserver, Snapshot, SnapshotEntry,
 };
-pub use span::{RequestTrace, StageSpan, TraceIdMinter, TraceLog};
+pub use span::{RequestTrace, StageSpan, TraceIdMinter, TraceLog, TraceSink};
 pub use trace::TraceWriter;
 pub use window::{TimeWindow, WindowConfig, WindowEntry, WindowSnapshot, WindowedMetrics};

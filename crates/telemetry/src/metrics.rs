@@ -459,7 +459,10 @@ impl Observer for MetricsCollector {
             | Event::ServeShed { .. }
             | Event::ServeRetried { .. }
             | Event::ServeBreakerOpen
-            | Event::ServeDrained { .. } => {}
+            | Event::ServeDrained { .. }
+            | Event::StageBegin { .. }
+            | Event::StageEnd { .. }
+            | Event::StageCloseAll { .. } => {}
             Event::LevelSync {
                 level,
                 workers,

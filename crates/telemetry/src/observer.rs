@@ -228,6 +228,27 @@ pub enum Event {
         /// completion during it.
         in_flight: usize,
     },
+    /// A serve-path lifecycle stage (`shed-check`, `breaker`,
+    /// `cache-lookup`, `optimize`, `retry-backoff`) opened. Stage events
+    /// carry the emitter's clock reading and go only to observers that
+    /// opt in via [`Observer::wants_spans`].
+    StageBegin {
+        /// Stage name.
+        stage: &'static str,
+        /// Opening time, in the emitter's clock nanoseconds.
+        now_ns: u64,
+    },
+    /// The most recently opened stage closed.
+    StageEnd {
+        /// Closing time, in the emitter's clock nanoseconds.
+        now_ns: u64,
+    },
+    /// Every open stage closed at once — error, rejection and retry
+    /// paths, where a panicking attempt unwound past its own closes.
+    StageCloseAll {
+        /// Closing time, in the emitter's clock nanoseconds.
+        now_ns: u64,
+    },
     /// The run is complete (successfully or not — emitted on the success
     /// path only, so its absence in a trace indicates an error).
     RunEnd,
@@ -258,6 +279,9 @@ impl Event {
             Event::ServeRetried { .. } => "serve_retried",
             Event::ServeBreakerOpen => "serve_breaker_open",
             Event::ServeDrained { .. } => "serve_drained",
+            Event::StageBegin { .. } => "stage_begin",
+            Event::StageEnd { .. } => "stage_end",
+            Event::StageCloseAll { .. } => "stage_close_all",
             Event::RunEnd => "run_end",
         }
     }
@@ -266,8 +290,8 @@ impl Event {
     /// `"enumerate"` for the parallel engine's worker events (they are
     /// emitted between that phase's start and end), `"cache"` for the
     /// plan-cache events (emitted by the service layer outside any
-    /// optimizer run), `"serve"` for the server-gateway lifecycle
-    /// events, `"run"` for everything else.
+    /// optimizer run), `"serve"` for the server-gateway lifecycle and
+    /// stage events, `"run"` for everything else.
     pub fn phase(&self) -> &'static str {
         match self {
             Event::PhaseStart { phase } | Event::PhaseEnd { phase } => phase,
@@ -282,9 +306,21 @@ impl Event {
             | Event::ServeShed { .. }
             | Event::ServeRetried { .. }
             | Event::ServeBreakerOpen
-            | Event::ServeDrained { .. } => "serve",
+            | Event::ServeDrained { .. }
+            | Event::StageBegin { .. }
+            | Event::StageEnd { .. }
+            | Event::StageCloseAll { .. } => "serve",
             _ => "run",
         }
+    }
+
+    /// Whether this is a stage-span event, delivered only to observers
+    /// that return `true` from [`Observer::wants_spans`].
+    pub fn is_stage(&self) -> bool {
+        matches!(
+            self,
+            Event::StageBegin { .. } | Event::StageEnd { .. } | Event::StageCloseAll { .. }
+        )
     }
 }
 
@@ -316,6 +352,15 @@ pub trait Observer {
         false
     }
 
+    /// Whether this observer wants the serve path's stage events
+    /// ([`Event::StageBegin`] and friends). Each costs the emitter a
+    /// clock read, so emitters read this once per request and skip
+    /// them entirely when it is `false`, the default;
+    /// [`crate::TraceSink`] overrides it to `true`.
+    fn wants_spans(&self) -> bool {
+        false
+    }
+
     /// Receives one event. Called in emission order from a single thread.
     fn on_event(&self, event: Event);
 }
@@ -333,57 +378,24 @@ impl Observer for NoopObserver {
     fn on_event(&self, _event: Event) {}
 }
 
-/// Fans events out to two observers (compose for more), e.g. a
+/// Fans events out to a borrowed slice of observers, in order, e.g. a
 /// [`crate::MetricsCollector`] and a [`crate::TraceWriter`] on the same
-/// run.
-pub struct Tee<'a> {
-    first: &'a dyn Observer,
-    second: &'a dyn Observer,
+/// run; borrowing keeps a per-request fan-out allocation-free.
+/// `Fanout<dyn Observer + Sync>` is itself `Sync`, for batch runs.
+/// Disabled sinks receive nothing, and stage events reach only the
+/// sinks that want spans.
+pub struct Fanout<'a, O: ?Sized + Observer = dyn Observer> {
+    sinks: &'a [&'a O],
 }
 
-impl<'a> Tee<'a> {
-    /// Observes with both `first` and `second`, in that order.
-    pub fn new(first: &'a dyn Observer, second: &'a dyn Observer) -> Tee<'a> {
-        Tee { first, second }
-    }
-}
-
-impl Observer for Tee<'_> {
-    fn enabled(&self) -> bool {
-        self.first.enabled() || self.second.enabled()
-    }
-
-    fn wants_provenance(&self) -> bool {
-        (self.first.enabled() && self.first.wants_provenance())
-            || (self.second.enabled() && self.second.wants_provenance())
-    }
-
-    fn on_event(&self, event: Event) {
-        if self.first.enabled() {
-            self.first.on_event(event);
-        }
-        if self.second.enabled() {
-            self.second.on_event(event);
-        }
-    }
-}
-
-/// Fans events out to any number of observers, in push order — the
-/// n-ary generalization of [`Tee`] for callers that assemble their sink
-/// set at runtime (e.g. metrics + trace + registry from CLI flags).
-#[derive(Default)]
-pub struct Fanout<'a> {
-    sinks: Vec<&'a dyn Observer>,
-}
-
-impl<'a> Fanout<'a> {
+impl<'a, O: ?Sized + Observer> Fanout<'a, O> {
     /// An observer forwarding to every sink in `sinks`.
-    pub fn new(sinks: Vec<&'a dyn Observer>) -> Fanout<'a> {
+    pub fn new(sinks: &'a [&'a O]) -> Fanout<'a, O> {
         Fanout { sinks }
     }
 }
 
-impl Observer for Fanout<'_> {
+impl<O: ?Sized + Observer> Observer for Fanout<'_, O> {
     fn enabled(&self) -> bool {
         self.sinks.iter().any(|s| s.enabled())
     }
@@ -394,44 +406,14 @@ impl Observer for Fanout<'_> {
             .any(|s| s.enabled() && s.wants_provenance())
     }
 
-    fn on_event(&self, event: Event) {
-        for sink in &self.sinks {
-            if sink.enabled() {
-                sink.on_event(event);
-            }
-        }
-    }
-}
-
-/// [`Fanout`] over thread-safe observers: usable where a shared
-/// `&(dyn Observer + Sync)` is required (batch optimization spreads one
-/// observer across worker threads).
-#[derive(Default)]
-pub struct SyncFanout<'a> {
-    sinks: Vec<&'a (dyn Observer + Sync)>,
-}
-
-impl<'a> SyncFanout<'a> {
-    /// An observer forwarding to every sink in `sinks`.
-    pub fn new(sinks: Vec<&'a (dyn Observer + Sync)>) -> SyncFanout<'a> {
-        SyncFanout { sinks }
-    }
-}
-
-impl Observer for SyncFanout<'_> {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn wants_provenance(&self) -> bool {
-        self.sinks
-            .iter()
-            .any(|s| s.enabled() && s.wants_provenance())
+    fn wants_spans(&self) -> bool {
+        self.sinks.iter().any(|s| s.enabled() && s.wants_spans())
     }
 
     fn on_event(&self, event: Event) {
-        for sink in &self.sinks {
-            if sink.enabled() {
+        let stage = event.is_stage();
+        for sink in self.sinks {
+            if sink.enabled() && (!stage || sink.wants_spans()) {
                 sink.on_event(event);
             }
         }
@@ -464,33 +446,6 @@ mod tests {
     fn custom_observers_default_to_enabled() {
         let obs = CountingObserver { seen: Cell::new(0) };
         assert!(obs.enabled());
-    }
-
-    #[test]
-    fn tee_forwards_to_both() {
-        let a = CountingObserver { seen: Cell::new(0) };
-        let b = CountingObserver { seen: Cell::new(0) };
-        let tee = Tee::new(&a, &b);
-        assert!(tee.enabled());
-        tee.on_event(Event::RunEnd);
-        tee.on_event(Event::PhaseStart { phase: "init" });
-        assert_eq!(a.seen.get(), 2);
-        assert_eq!(b.seen.get(), 2);
-    }
-
-    #[test]
-    fn tee_of_noops_is_disabled() {
-        let tee = Tee::new(&NoopObserver, &NoopObserver);
-        assert!(!tee.enabled());
-    }
-
-    #[test]
-    fn tee_skips_disabled_side() {
-        let a = CountingObserver { seen: Cell::new(0) };
-        let tee = Tee::new(&a, &NoopObserver);
-        assert!(tee.enabled());
-        tee.on_event(Event::RunEnd);
-        assert_eq!(a.seen.get(), 1);
     }
 
     #[test]
@@ -614,6 +569,19 @@ mod tests {
         let drained = Event::ServeDrained { in_flight: 2 };
         assert_eq!(drained.name(), "serve_drained");
         assert_eq!(drained.phase(), "serve");
+        assert!(!drained.is_stage());
+        let begin = Event::StageBegin {
+            stage: "breaker",
+            now_ns: 5,
+        };
+        for (event, name) in [
+            (begin, "stage_begin"),
+            (Event::StageEnd { now_ns: 6 }, "stage_end"),
+            (Event::StageCloseAll { now_ns: 7 }, "stage_close_all"),
+        ] {
+            assert_eq!((event.name(), event.phase()), (name, "serve"));
+            assert!(event.is_stage());
+        }
         assert_eq!(Event::RunEnd.name(), "run_end");
     }
 
@@ -641,31 +609,64 @@ mod tests {
         fn on_event(&self, _event: Event) {}
     }
 
+    fn span_sink() -> crate::TraceSink {
+        crate::TraceSink::new(crate::RequestTrace::new(String::new(), "", "optimize", 0))
+    }
+
+    /// Builds a fan-out over mixed concrete sinks (the slice's expected
+    /// type lets each element coerce to `&dyn Observer`).
+    fn fan<'a>(sinks: &'a [&'a (dyn Observer + 'a)]) -> Fanout<'a, dyn Observer + 'a> {
+        Fanout::new(sinks)
+    }
+
     #[test]
-    fn provenance_is_opt_in_and_combinators_require_an_enabled_sink() {
+    fn provenance_and_spans_are_opt_in_and_fanout_requires_an_enabled_sink() {
         let plain = CountingObserver { seen: Cell::new(0) };
         assert!(!plain.wants_provenance(), "default is off");
+        assert!(!plain.wants_spans(), "default is off");
         assert!(!NoopObserver.wants_provenance());
-        assert!(Tee::new(&plain, &ProvenanceWanting).wants_provenance());
-        assert!(!Tee::new(&plain, &NoopObserver).wants_provenance());
-        // A disabled sink never receives events, so its provenance wish
-        // must not switch the emitters on.
-        assert!(!Tee::new(&plain, &DisabledButWanting).wants_provenance());
-        assert!(Fanout::new(vec![&NoopObserver, &ProvenanceWanting]).wants_provenance());
-        assert!(!Fanout::new(vec![&plain, &DisabledButWanting]).wants_provenance());
-        assert!(!Fanout::new(Vec::new()).wants_provenance());
+        assert!(!NoopObserver.wants_spans());
+        let spans = span_sink();
+        assert!(fan(&[&plain, &ProvenanceWanting]).wants_provenance());
+        assert!(!fan(&[&plain, &NoopObserver]).wants_provenance());
+        assert!(fan(&[&plain, &spans]).wants_spans());
+        assert!(!fan(&[&plain, &ProvenanceWanting]).wants_spans());
+        // A disabled sink never receives events, so its wishes must not
+        // switch the emitters on.
+        assert!(!fan(&[&plain, &DisabledButWanting]).wants_provenance());
+        assert!(fan(&[&NoopObserver, &ProvenanceWanting]).wants_provenance());
+        assert!(!fan(&[]).wants_provenance());
+        assert!(!fan(&[]).wants_spans());
     }
 
     #[test]
     fn fanout_forwards_to_all_enabled_sinks() {
         let a = CountingObserver { seen: Cell::new(0) };
         let b = CountingObserver { seen: Cell::new(0) };
-        let fan = Fanout::new(vec![&a, &NoopObserver, &b]);
-        assert!(fan.enabled());
-        fan.on_event(Event::RunEnd);
-        assert_eq!((a.seen.get(), b.seen.get()), (1, 1));
-        assert!(!Fanout::new(vec![&NoopObserver]).enabled());
-        assert!(!Fanout::new(Vec::new()).enabled());
+        let sinks: [&dyn Observer; 3] = [&a, &NoopObserver, &b];
+        let fanout = Fanout::new(&sinks);
+        assert!(fanout.enabled());
+        fanout.on_event(Event::RunEnd);
+        fanout.on_event(Event::PhaseStart { phase: "init" });
+        assert_eq!((a.seen.get(), b.seen.get()), (2, 2));
+        assert!(!fan(&[&NoopObserver, &NoopObserver]).enabled());
+        assert!(!fan(&[]).enabled());
+    }
+
+    #[test]
+    fn fanout_routes_stage_events_only_to_sinks_that_want_spans() {
+        let plain = CountingObserver { seen: Cell::new(0) };
+        let spans = span_sink();
+        let sinks: [&dyn Observer; 2] = [&plain, &spans];
+        let fanout = Fanout::new(&sinks);
+        fanout.on_event(Event::StageBegin {
+            stage: "breaker",
+            now_ns: 1,
+        });
+        fanout.on_event(Event::StageEnd { now_ns: 2 });
+        fanout.on_event(Event::ServeRetried { attempt: 1 });
+        assert_eq!(plain.seen.get(), 1, "only the non-stage event");
+        assert_eq!(spans.into_trace().spans()[0].end_ns, 2, "folded both");
     }
 
     #[test]

@@ -735,6 +735,8 @@ impl Observer for RegistryObserver<'_> {
             Event::ServeDrained { .. } => {
                 reg.inc("joinopt_serve_drained_total", &[], 1);
             }
+            // Stage spans are the trace sink's; this observer never asks.
+            Event::StageBegin { .. } | Event::StageEnd { .. } | Event::StageCloseAll { .. } => {}
             Event::RunEnd => {
                 let state = self.with_runs(|r| r.remove(&tid));
                 if let Some(s) = state {

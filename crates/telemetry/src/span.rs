@@ -9,16 +9,22 @@
 //! `now_ns` handed in by the caller (the service layer's injectable
 //! `Clock`), so traces are byte-deterministic under a manual clock.
 //!
+//! The serve path reports its stages as ordinary [`Event`]s
+//! ([`Event::StageBegin`] and friends) to the request's [`Observer`];
+//! a [`TraceSink`] there folds them into the [`RequestTrace`].
+//!
 //! `trace_id`s are accepted from the client protocol or minted by a
 //! seeded per-server [`TraceIdMinter`]; either way the id is echoed in
 //! every response so clients can correlate. A bounded [`TraceLog`]
 //! keeps the most recent traces (for the `trace` verb) and the worst-K
 //! slowest (for the `slow` verb) without ever growing unbounded.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::json::write_escaped;
+use crate::json::JsonObject;
+use crate::observer::{Event, Observer};
 
 /// One timed lifecycle stage inside a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,11 +99,6 @@ impl RequestTrace {
         }
     }
 
-    /// Opens a stage span at `now_ns` (attempt 0).
-    pub fn begin(&mut self, stage: &'static str, now_ns: u64) {
-        self.begin_attempt(stage, 0, now_ns);
-    }
-
     /// Opens a stage span tagged with a retry attempt.
     pub fn begin_attempt(&mut self, stage: &'static str, attempt: u32, now_ns: u64) {
         self.open.push(self.spans.len());
@@ -162,44 +163,79 @@ impl RequestTrace {
     /// render to identical bytes — the property the span-timeline
     /// golden in CI pins.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"trace_id\":");
-        write_escaped(&mut s, &self.trace_id);
-        s.push_str(",\"tenant\":");
-        write_escaped(&mut s, &self.tenant);
-        s.push_str(&format!(
-            ",\"verb\":\"{}\",\"status\":\"{}\",\"started_ns\":{},\"total_ns\":{}",
-            self.verb,
-            self.status,
-            self.started_ns,
-            self.total_ns()
-        ));
-        if let Some(a) = self.algorithm {
-            s.push_str(&format!(",\"algorithm\":\"{a}\""));
-        }
+        let spans: Vec<String> = self
+            .spans
+            .iter()
+            .map(|sp| {
+                JsonObject::new()
+                    .str("stage", sp.stage)
+                    .u64("attempt", sp.attempt.into())
+                    .u64("start_ns", sp.start_ns)
+                    .u64("duration_ns", sp.duration_ns())
+                    .finish()
+            })
+            .collect();
+        let mut o = JsonObject::new()
+            .str("trace_id", &self.trace_id)
+            .str("tenant", &self.tenant)
+            .str("verb", self.verb)
+            .str("status", self.status)
+            .u64("started_ns", self.started_ns)
+            .u64("total_ns", self.total_ns())
+            .opt_str("algorithm", self.algorithm);
         if let Some(h) = self.cache_hit {
-            s.push_str(&format!(",\"cache_hit\":{h}"));
+            o = o.bool("cache_hit", h);
         }
-        if let Some(d) = self.degraded {
-            s.push_str(&format!(",\"degraded\":\"{d}\""));
+        o.opt_str("degraded", self.degraded)
+            .opt_str("error_type", self.error_kind)
+            .raw("spans", &format!("[{}]", spans.join(",")))
+            .finish()
+    }
+}
+
+/// The [`Observer`] that folds one request's stage events into its
+/// [`RequestTrace`]. It opts into spans ([`Observer::wants_spans`]),
+/// ignores everything else except [`Event::ServeRetried`], whose
+/// attempt number tags the spans that follow. Pair it with the
+/// request's other sinks through [`crate::Fanout`].
+#[derive(Debug)]
+pub struct TraceSink {
+    trace: RefCell<RequestTrace>,
+    attempt: Cell<u32>,
+}
+
+impl TraceSink {
+    /// A sink recording into `trace`.
+    pub fn new(trace: RequestTrace) -> TraceSink {
+        TraceSink {
+            trace: RefCell::new(trace),
+            attempt: Cell::new(0),
         }
-        if let Some(e) = self.error_kind {
-            s.push_str(&format!(",\"error_type\":\"{e}\""));
-        }
-        s.push_str(",\"spans\":[");
-        for (i, sp) in self.spans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+    }
+
+    /// The trace folded so far.
+    pub fn into_trace(self) -> RequestTrace {
+        self.trace.into_inner()
+    }
+}
+
+impl Observer for TraceSink {
+    fn wants_spans(&self) -> bool {
+        true
+    }
+
+    fn on_event(&self, event: Event) {
+        match event {
+            Event::StageBegin { stage, now_ns } => {
+                self.trace
+                    .borrow_mut()
+                    .begin_attempt(stage, self.attempt.get(), now_ns);
             }
-            s.push_str(&format!(
-                "{{\"stage\":\"{}\",\"attempt\":{},\"start_ns\":{},\"duration_ns\":{}}}",
-                sp.stage,
-                sp.attempt,
-                sp.start_ns,
-                sp.duration_ns()
-            ));
+            Event::StageEnd { now_ns } => self.trace.borrow_mut().end(now_ns),
+            Event::StageCloseAll { now_ns } => self.trace.borrow_mut().close_open(now_ns),
+            Event::ServeRetried { attempt } => self.attempt.set(attempt),
+            _ => {}
         }
-        s.push_str("]}");
-        s
     }
 }
 
@@ -308,7 +344,7 @@ mod tests {
 
     fn trace(id: &str, start: u64, end: u64) -> RequestTrace {
         let mut t = RequestTrace::new(id.to_string(), "acme", "optimize", start);
-        t.begin("shed-check", start);
+        t.begin_attempt("shed-check", 0, start);
         t.end(start + 5);
         t.finish("ok", end);
         t
@@ -316,13 +352,29 @@ mod tests {
 
     #[test]
     fn spans_nest_and_render_deterministically() {
-        let mut t = RequestTrace::new("t-1".into(), "acme", "optimize", 100);
-        t.begin("shed-check", 100);
-        t.end(110);
-        t.begin_attempt("optimize", 0, 110);
-        t.end(150);
-        t.begin_attempt("retry-backoff", 1, 150);
-        t.end(170);
+        // Folded from stage events, as the serve path records them: the
+        // retry event tags the spans after it, and a close-all shuts
+        // the panicked attempt's span.
+        let sink = TraceSink::new(RequestTrace::new("t-1".into(), "acme", "optimize", 100));
+        assert!(sink.wants_spans());
+        let (begin, end) = (
+            |stage, now_ns| Event::StageBegin { stage, now_ns },
+            |now_ns| Event::StageEnd { now_ns },
+        );
+        for event in [
+            begin("shed-check", 100),
+            end(110),
+            begin("optimize", 110),
+            Event::ServeRetried { attempt: 1 },
+            Event::StageCloseAll { now_ns: 150 },
+            begin("retry-backoff", 150),
+            Event::CacheLookup { hit: false },
+            end(170),
+        ] {
+            sink.on_event(event);
+        }
+        let mut t = sink.into_trace();
+        assert_eq!(t.open_count(), 0);
         t.algorithm = Some("dpccp");
         t.cache_hit = Some(false);
         t.finish("ok", 180);
@@ -342,7 +394,7 @@ mod tests {
     #[test]
     fn finish_closes_dangling_spans_and_clamps() {
         let mut t = RequestTrace::new("t-2".into(), "", "optimize", 50);
-        t.begin("breaker", 60);
+        t.begin_attempt("breaker", 0, 60);
         t.finish("error", 40); // a clock that "went backwards"
         assert_eq!(t.finished_ns, 50, "never ends before it starts");
         assert_eq!(t.spans()[0].end_ns, 40);

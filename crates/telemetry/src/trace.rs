@@ -190,6 +190,14 @@ impl<W: Write> TraceWriter<W> {
             Event::ServeDrained { in_flight } => {
                 s.push_str(&format!(",\"in_flight\":{in_flight}"));
             }
+            Event::StageBegin { stage, now_ns } => {
+                s.push_str(",\"stage\":");
+                write_escaped(&mut s, stage);
+                s.push_str(&format!(",\"now_ns\":{now_ns}"));
+            }
+            Event::StageEnd { now_ns } | Event::StageCloseAll { now_ns } => {
+                s.push_str(&format!(",\"now_ns\":{now_ns}"));
+            }
         }
         s.push_str("}\n");
         s

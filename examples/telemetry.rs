@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example telemetry`
 
 use joinopt::prelude::*;
-use joinopt::telemetry::Tee;
+use joinopt::telemetry::Fanout;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The ISSUE's acceptance workload: a 12-relation star query.
@@ -20,13 +20,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // With observers: a MetricsCollector aggregates the run into a
     // report, and a TraceWriter streams every event as a JSON line.
-    // Tee fans the events out to both; the result is bit-identical.
+    // Fanout fans the events out to both; the result is bit-identical.
     let metrics = MetricsCollector::new();
     let trace = TraceWriter::new(Vec::new());
-    let tee = Tee::new(&metrics, &trace);
+    let sinks: [&dyn Observer; 2] = [&metrics, &trace];
     let observed = OptimizeRequest::new(&w.graph, &w.catalog)
         .with_algorithm(Algorithm::DpCcp)
-        .with_observer(&tee)
+        .with_observer(&Fanout::new(&sinks))
         .run()?
         .into_result();
     assert_eq!(plain.cost.to_bits(), observed.cost.to_bits());
