@@ -12,6 +12,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (warnings are errors)"
+# Broken, private or redundant intra-doc links fail the build, so a
+# rename or removal cannot leave a dangling reference in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -6,7 +6,7 @@
 //! (the warm path the plan cache exists for) and otherwise a fresh
 //! query. The run reports throughput (requests/sec), latency quantiles
 //! (p50/p99 from the workspace's log-linear
-//! [`Histogram`](joinopt_telemetry::Histogram)) and the cache hit rate,
+//! [`Histogram`]) and the cache hit rate,
 //! and serializes to the same JSON conventions as the perf baseline
 //! (schema `joinopt-load-v3`, `cost_bits`-style exactness is not needed
 //! here — latency is noise, hit counts are deterministic at one worker).

@@ -24,7 +24,7 @@ use joinopt_core::{Algorithm, OptimizeRequest};
 use joinopt_cost::workload::family_workload;
 use joinopt_qgraph::GraphKind;
 use joinopt_telemetry::json::{write_escaped, write_f64, JsonValue};
-use joinopt_telemetry::{Fanout, MetricsCollector, NoopObserver, Observer};
+use joinopt_telemetry::{Fanout, MetricsCollector, Observer};
 
 /// The pinned graph families of the matrix (the paper's structural
 /// extremes: sparsest, star-shaped, densest).
@@ -116,7 +116,7 @@ fn matrix(config: &PerfConfig) -> Vec<(GraphKind, Algorithm, &'static str, usize
         cells.push((kind, Algorithm::DpCcp, "DPccp", 1));
         // DPconv rides the same workloads (the default model is C_out,
         // the only one it accepts); the clique cell against DPccp's is
-        // the committed crossover evidence for `select_auto`.
+        // the committed crossover evidence for the `Auto` policy.
         cells.push((kind, Algorithm::DpConv, "DPconv", 1));
         for &t in &config.threads {
             cells.push((kind, Algorithm::DpSub, "DPsub", t.max(1)));
@@ -125,29 +125,19 @@ fn matrix(config: &PerfConfig) -> Vec<(GraphKind, Algorithm, &'static str, usize
     cells
 }
 
-/// Runs the full matrix and returns the measured baseline.
+/// Runs the full matrix and returns the measured baseline. Every
+/// cell's run additionally reports to `obs` (pass
+/// [`NoopObserver`](joinopt_telemetry::NoopObserver) for
+/// none; the internal metrics collector that measures the cells is
+/// unaffected), so `joinopt perf --trace-json/--prom` can stream or
+/// aggregate a whole matrix run.
 ///
 /// # Errors
 ///
 /// Returns a message when a cell's optimizer run fails or its counters
 /// are not bit-stable across the configured repetitions (which would
 /// mean the determinism contract is broken — a real bug).
-pub fn run_matrix(config: &PerfConfig) -> Result<PerfBaseline, String> {
-    run_matrix_observed(config, &NoopObserver)
-}
-
-/// [`run_matrix`] with telemetry: every cell's run additionally reports
-/// to `obs` (the internal metrics collector that measures the cells is
-/// unaffected), so `joinopt perf --trace-json/--prom` can stream or
-/// aggregate a whole matrix run.
-///
-/// # Errors
-///
-/// Same as [`run_matrix`].
-pub fn run_matrix_observed(
-    config: &PerfConfig,
-    obs: &dyn Observer,
-) -> Result<PerfBaseline, String> {
+pub fn run_matrix(config: &PerfConfig, obs: &dyn Observer) -> Result<PerfBaseline, String> {
     let reps = config.reps.max(1);
     let mut cells = Vec::new();
     for (kind, alg, alg_name, threads) in matrix(config) {
@@ -461,6 +451,7 @@ impl PerfBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use joinopt_telemetry::NoopObserver;
 
     fn small_config() -> PerfConfig {
         PerfConfig {
@@ -487,8 +478,8 @@ mod tests {
     #[test]
     fn counters_are_bit_stable_across_runs_and_threads() {
         let config = small_config();
-        let a = run_matrix(&config).unwrap();
-        let b = run_matrix(&config).unwrap();
+        let a = run_matrix(&config, &NoopObserver).unwrap();
+        let b = run_matrix(&config, &NoopObserver).unwrap();
         for (x, y) in a.cells.iter().zip(&b.cells) {
             assert_eq!(x.key(), y.key());
             assert_eq!(x.inner, y.inner, "{:?}", x.key());
@@ -513,7 +504,7 @@ mod tests {
 
     #[test]
     fn baseline_round_trips_through_json() {
-        let baseline = run_matrix(&small_config()).unwrap();
+        let baseline = run_matrix(&small_config(), &NoopObserver).unwrap();
         let text = baseline.to_json();
         let parsed = PerfBaseline::parse(&text).unwrap();
         assert_eq!(parsed, baseline);
@@ -524,7 +515,7 @@ mod tests {
 
     #[test]
     fn check_catches_counter_regressions_and_shape_drift() {
-        let baseline = run_matrix(&small_config()).unwrap();
+        let baseline = run_matrix(&small_config(), &NoopObserver).unwrap();
         let mut bad = baseline.clone();
         bad.cells[0].inner += 1;
         let diffs = bad.check(&baseline, true).unwrap_err();
@@ -551,13 +542,16 @@ mod tests {
         // levels, so their cells must carry *no* utilization figure —
         // not a fabricated 1.0 — and the JSON must omit the key while
         // still round-tripping.
-        let baseline = run_matrix(&PerfConfig {
-            n: 6,
-            reps: 1,
-            seed: 2006,
-            threads: vec![2],
-            noise: 0.5,
-        })
+        let baseline = run_matrix(
+            &PerfConfig {
+                n: 6,
+                reps: 1,
+                seed: 2006,
+                threads: vec![2],
+                noise: 0.5,
+            },
+            &NoopObserver,
+        )
         .unwrap();
         for cell in &baseline.cells {
             if cell.algorithm == "DPsub" {
@@ -587,8 +581,8 @@ mod tests {
         };
         let registry = MetricsRegistry::new();
         let obs = RegistryObserver::new(&registry);
-        let observed = run_matrix_observed(&config, &obs).unwrap();
-        let plain = run_matrix(&config).unwrap();
+        let observed = run_matrix(&config, &obs).unwrap();
+        let plain = run_matrix(&config, &NoopObserver).unwrap();
         // The external observer sees every cell run...
         let snap = registry.snapshot();
         let runs: u64 = ["DPsize", "DPccp", "DPconv", "DPsub"]
@@ -616,13 +610,16 @@ mod tests {
 
     #[test]
     fn render_table_mentions_every_cell() {
-        let baseline = run_matrix(&PerfConfig {
-            n: 6,
-            reps: 1,
-            seed: 2006,
-            threads: vec![1],
-            noise: 0.5,
-        })
+        let baseline = run_matrix(
+            &PerfConfig {
+                n: 6,
+                reps: 1,
+                seed: 2006,
+                threads: vec![1],
+                noise: 0.5,
+            },
+            &NoopObserver,
+        )
         .unwrap();
         let table = baseline.render_table();
         assert!(table.contains("chain"));

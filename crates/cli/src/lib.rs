@@ -21,7 +21,7 @@ use std::io::{BufWriter, Write};
 use std::time::Instant;
 
 use joinopt_bench::load::{run_chaos, run_load, ChaosConfig, LoadConfig};
-use joinopt_bench::perf::{run_matrix_observed, PerfBaseline, PerfConfig};
+use joinopt_bench::perf::{run_matrix, PerfBaseline, PerfConfig};
 use joinopt_core::explain::{compare, Explanation};
 use joinopt_core::formulas::{dpccp_inner, dpsize_inner, dpsub_inner};
 use joinopt_core::greedy::Goo;
@@ -685,7 +685,7 @@ fn cmd_optimize_batch(
     });
     let telemetry = Telemetry::new(false, trace_path, prom_path)?;
     let start = Instant::now();
-    let results = telemetry.observe_sync(|obs| service.submit_batch_observed(&requests, obs));
+    let results = telemetry.observe_sync(|obs| service.submit_batch(&requests, obs));
     let elapsed = start.elapsed();
     telemetry.close()?;
     writeln!(
@@ -974,7 +974,7 @@ fn cmd_fuzz(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         telemetry.registry = Some(MetricsRegistry::new());
     }
     let start = Instant::now();
-    let report = telemetry.observe(|obs| joinopt_conformance::run_fuzz_observed(&config, obs));
+    let report = telemetry.observe(|obs| joinopt_conformance::run_fuzz(&config, obs));
     if let (true, Some(registry)) = (metrics, &telemetry.registry) {
         writeln!(out, "{}", registry.snapshot().to_text())?;
     }
@@ -1086,7 +1086,7 @@ fn cmd_perf(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             replay.reps = 1;
         }
         let current = telemetry
-            .observe(|obs| run_matrix_observed(&replay, obs))
+            .observe(|obs| run_matrix(&replay, obs))
             .map_err(CliError::Conformance)?;
         telemetry.close()?;
         let mode = if counters_only {
@@ -1117,7 +1117,7 @@ fn cmd_perf(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         let start = Instant::now();
         let baseline = telemetry
-            .observe(|obs| run_matrix_observed(&config, obs))
+            .observe(|obs| run_matrix(&config, obs))
             .map_err(CliError::Conformance)?;
         telemetry.close()?;
         std::fs::write(&out_path, baseline.to_json())?;

@@ -23,6 +23,7 @@ use joinopt_cost::Catalog;
 use joinopt_qgraph::bfs;
 use joinopt_relset::XorShift64;
 use joinopt_service::{canonicalize, OptimizerService, QuerySpec, ServiceRequest};
+use joinopt_telemetry::NoopObserver;
 
 use crate::generator::Instance;
 use crate::oracle::Divergence;
@@ -175,7 +176,7 @@ pub fn check_cache_replay(inst: &Instance) -> Result<(), Divergence> {
     let service = OptimizerService::default();
     let request = ServiceRequest::new(spec).with_algorithm(Algorithm::DpCcp);
     let cold = service
-        .submit_batch(std::slice::from_ref(&request))
+        .submit_batch(std::slice::from_ref(&request), &NoopObserver)
         .pop()
         .unwrap_or_else(|| {
             Err(joinopt_core::OptimizeError::Internal(
@@ -195,7 +196,7 @@ pub fn check_cache_replay(inst: &Instance) -> Result<(), Divergence> {
         ));
     }
     let warm = service
-        .submit_batch(std::slice::from_ref(&request))
+        .submit_batch(std::slice::from_ref(&request), &NoopObserver)
         .pop()
         .unwrap_or_else(|| {
             Err(joinopt_core::OptimizeError::Internal(

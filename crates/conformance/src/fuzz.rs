@@ -1,8 +1,10 @@
 //! The fuzzing driver: generate → check → (on failure) minimize.
 
+use joinopt_telemetry::{NoopObserver, Observer};
+
 use crate::generator::{generate_instance, Instance};
 use crate::oracle::Divergence;
-use crate::{check_full, check_full_observed, shrink};
+use crate::{check_full, shrink};
 
 /// Configuration of one fuzz run.
 #[derive(Debug, Clone)]
@@ -66,21 +68,18 @@ impl FuzzReport {
 /// always generates and checks the same instances in the same order
 /// (failures do not stop the run — every configured iteration is
 /// checked so one regression cannot mask another).
-pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
-    run_fuzz_observed(config, &joinopt_telemetry::NoopObserver)
-}
-
-/// [`run_fuzz`] with telemetry: each instance's reference DPccp run
-/// reports to `obs`, making campaign-scale enumeration work visible to
-/// a metrics registry or trace. Minimization replays stay unobserved
-/// (shrinking repeats the checks hundreds of times and would swamp the
-/// campaign's own signal). The checked instances — and therefore the
-/// report — are identical to [`run_fuzz`]'s.
-pub fn run_fuzz_observed(config: &FuzzConfig, obs: &dyn joinopt_telemetry::Observer) -> FuzzReport {
+///
+/// Each instance's reference DPccp run reports to `obs` (pass
+/// [`NoopObserver`] for none), making campaign-scale enumeration work
+/// visible to a metrics registry or trace. Minimization replays stay
+/// unobserved (shrinking repeats the checks hundreds of times and would
+/// swamp the campaign's own signal). The observer never changes which
+/// instances are checked or the report.
+pub fn run_fuzz(config: &FuzzConfig, obs: &dyn Observer) -> FuzzReport {
     let mut failures = Vec::new();
     for index in 0..config.iters {
         let instance = generate_instance(config.seed, index, config.max_n);
-        let checked = check_full_observed(&instance, obs).and_then(|()| {
+        let checked = check_full(&instance, obs).and_then(|()| {
             if config.cache {
                 crate::fingerprint::check_cache_replay(&instance)
             } else {
@@ -91,7 +90,7 @@ pub fn run_fuzz_observed(config: &FuzzConfig, obs: &dyn joinopt_telemetry::Obser
             let minimized = config.minimize.then(|| {
                 let label = divergence.check;
                 shrink::minimize(&instance, |candidate| {
-                    let replay = check_full(candidate).and_then(|()| {
+                    let replay = check_full(candidate, &NoopObserver).and_then(|()| {
                         if config.cache {
                             crate::fingerprint::check_cache_replay(candidate)
                         } else {
@@ -138,7 +137,7 @@ mod tests {
         };
         let registry = MetricsRegistry::new();
         let obs = RegistryObserver::new(&registry);
-        let report = run_fuzz_observed(&config, &obs);
+        let report = run_fuzz(&config, &obs);
         assert_eq!(report.checked, 6);
         assert!(report.is_clean());
         let snap = registry.snapshot();
@@ -164,7 +163,7 @@ mod tests {
             minimize: true,
             cache: true,
         };
-        let report = run_fuzz(&config);
+        let report = run_fuzz(&config, &NoopObserver);
         assert_eq!(report.checked, 12);
         assert!(
             report.is_clean(),

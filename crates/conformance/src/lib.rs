@@ -44,36 +44,26 @@ pub mod shrink;
 
 pub use explain::explain_failure;
 pub use fingerprint::{check_cache_replay, check_fingerprint};
-pub use fuzz::run_fuzz_observed;
 pub use fuzz::{run_fuzz, Failure, FuzzConfig, FuzzReport};
 pub use generator::{generate_instance, Family, Instance, SplitMix64};
-pub use oracle::{check_instance, check_instance_observed, Divergence};
+pub use oracle::{check_instance, Divergence};
 pub use shrink::minimize;
 
 /// Runs every check the harness knows — the differential [`oracle`]
 /// first, then the [`metamorphic`] properties, then the service
 /// [`fingerprint`] invariance — on one instance. (The optional
 /// cold/warm cache replay is driven separately by
-/// [`FuzzConfig::cache`].)
+/// [`FuzzConfig::cache`].) The instance's reference DPccp run reports
+/// to `obs` (see [`check_instance`]).
 ///
 /// # Errors
 ///
 /// Returns the first [`Divergence`] found.
-pub fn check_full(inst: &Instance) -> Result<(), Divergence> {
-    check_full_observed(inst, &joinopt_telemetry::NoopObserver)
-}
-
-/// [`check_full`] with telemetry: the instance's reference DPccp run
-/// reports to `obs` (see [`oracle::check_instance_observed`]).
-///
-/// # Errors
-///
-/// Returns the first [`Divergence`] found.
-pub fn check_full_observed(
+pub fn check_full(
     inst: &Instance,
     obs: &dyn joinopt_telemetry::Observer,
 ) -> Result<(), Divergence> {
-    oracle::check_instance_observed(inst, obs)?;
+    oracle::check_instance(inst, obs)?;
     metamorphic::check_metamorphic(inst)?;
     fingerprint::check_fingerprint(inst)
 }
@@ -91,5 +81,5 @@ pub fn check_dsl(text: &str) -> Result<(), Divergence> {
         check: "dsl-parse",
         detail,
     })?;
-    check_full(&inst)
+    check_full(&inst, &joinopt_telemetry::NoopObserver)
 }

@@ -31,6 +31,7 @@ use joinopt_qgraph::hypergraph::Hypergraph;
 use joinopt_qgraph::profile::CsgProfile;
 use joinopt_qgraph::{csg, formulas as qformulas, QueryGraph};
 use joinopt_relset::RelSet;
+use joinopt_telemetry::Observer;
 
 use crate::generator::Instance;
 
@@ -102,26 +103,16 @@ pub const RANKED_CHECK_MAX_N: usize = 16;
 /// algorithm produces the lone scan, resp. every cross-product-free
 /// algorithm refuses while the cross-product variant still plans).
 ///
-/// # Errors
-///
-/// Returns the first [`Divergence`] found.
-pub fn check_instance(inst: &Instance) -> Result<(), Divergence> {
-    check_instance_observed(inst, &joinopt_telemetry::NoopObserver)
-}
-
-/// [`check_instance`] with telemetry: the reference DPccp run on each
-/// connected instance reports its events to `obs`, so a fuzz campaign's
-/// enumeration work is visible to metrics and traces (the other matrix
-/// runs stay unobserved — they re-derive the same answer and would only
-/// multiply every counter).
+/// The reference DPccp run on each connected instance reports its
+/// events to `obs` (pass [`joinopt_telemetry::NoopObserver`] for none), so a fuzz
+/// campaign's enumeration work is visible to metrics and traces. The
+/// other matrix runs stay unobserved — they re-derive the same answer
+/// and would only multiply every counter.
 ///
 /// # Errors
 ///
 /// Returns the first [`Divergence`] found.
-pub fn check_instance_observed(
-    inst: &Instance,
-    obs: &dyn joinopt_telemetry::Observer,
-) -> Result<(), Divergence> {
+pub fn check_instance(inst: &Instance, obs: &dyn Observer) -> Result<(), Divergence> {
     let g = &inst.graph;
     let n = g.num_relations();
     if n == 1 {
@@ -672,12 +663,13 @@ fn singleton_hypergraph(g: &QueryGraph) -> Result<Hypergraph, String> {
 mod tests {
     use super::*;
     use crate::generator::{self, generate_instance};
+    use joinopt_telemetry::NoopObserver;
 
     #[test]
     fn clean_instances_pass() {
         for index in 0..12 {
             let inst = generate_instance(2006, index, 8);
-            check_instance(&inst).unwrap_or_else(|d| panic!("{}: {d}", inst.name));
+            check_instance(&inst, &NoopObserver).unwrap_or_else(|d| panic!("{}: {d}", inst.name));
         }
     }
 
@@ -685,7 +677,7 @@ mod tests {
     fn tie_rich_instances_pass_without_injection() {
         for n in [3, 5, 8] {
             let inst = generator::tie_rich_chain(n);
-            check_instance(&inst).unwrap_or_else(|d| panic!("{}: {d}", inst.name));
+            check_instance(&inst, &NoopObserver).unwrap_or_else(|d| panic!("{}: {d}", inst.name));
         }
     }
 
@@ -721,7 +713,7 @@ mod tests {
             graph: g,
             catalog,
         };
-        check_instance(&inst).unwrap_or_else(|d| panic!("{d}"));
+        check_instance(&inst, &NoopObserver).unwrap_or_else(|d| panic!("{d}"));
     }
 
     #[test]
@@ -735,6 +727,6 @@ mod tests {
             graph: g,
             catalog,
         };
-        check_instance(&inst).unwrap_or_else(|d| panic!("{d}"));
+        check_instance(&inst, &NoopObserver).unwrap_or_else(|d| panic!("{d}"));
     }
 }

@@ -15,6 +15,7 @@
 
 use joinopt_conformance::{check_instance, generator, minimize};
 use joinopt_core::failpoint::{self, FailAction};
+use joinopt_telemetry::NoopObserver;
 
 #[test]
 fn injected_rank_skip_is_caught_and_minimized() {
@@ -23,7 +24,7 @@ fn injected_rank_skip_is_caught_and_minimized() {
     failpoint::configure("dpconv-rank-skip", FailAction::Error);
 
     let inst = generator::tie_rich_chain(6);
-    let divergence = check_instance(&inst)
+    let divergence = check_instance(&inst, &NoopObserver)
         .expect_err("dropping DPconv's balanced layer must change its optimal cost");
     assert_eq!(divergence.check, "optimal-cost", "{divergence}");
     assert!(divergence.detail.contains("DPconv"), "{divergence}");
@@ -32,7 +33,7 @@ fn injected_rank_skip_is_caught_and_minimized() {
     // The skip only fires for n ≥ 4, so 4 relations is the true floor.
     let minimal = minimize(
         &inst,
-        |candidate| matches!(check_instance(candidate), Err(d) if d.check == "optimal-cost"),
+        |candidate| matches!(check_instance(candidate, &NoopObserver), Err(d) if d.check == "optimal-cost"),
     );
     assert!(
         minimal.graph.num_relations() <= 5,
@@ -48,6 +49,6 @@ fn injected_rank_skip_is_caught_and_minimized() {
     // Disarming restores full conformance — on the original instance
     // and on the minimized repro.
     failpoint::clear("dpconv-rank-skip");
-    check_instance(&inst).expect("clean once the failpoint is cleared");
-    check_instance(&minimal).expect("minimal repro is clean without the injection");
+    check_instance(&inst, &NoopObserver).expect("clean once the failpoint is cleared");
+    check_instance(&minimal, &NoopObserver).expect("minimal repro is clean without the injection");
 }

@@ -14,6 +14,7 @@
 
 use joinopt_conformance::{check_instance, explain_failure, generator, minimize, Failure};
 use joinopt_core::failpoint::{self, FailAction};
+use joinopt_telemetry::NoopObserver;
 
 #[test]
 fn injected_tiebreak_inversion_is_caught_and_minimized() {
@@ -25,14 +26,14 @@ fn injected_tiebreak_inversion_is_caught_and_minimized() {
     // splits of the full set cost bit-identically, so the inverted
     // tie-break picks a different plan tree.
     let inst = generator::tie_rich_chain(8);
-    let divergence =
-        check_instance(&inst).expect_err("the inverted tie-break must change the engine's plan");
+    let divergence = check_instance(&inst, &NoopObserver)
+        .expect_err("the inverted tie-break must change the engine's plan");
     assert_eq!(divergence.check, "engine-vs-sequential", "{divergence}");
 
     // Shrink to a minimal repro reproducing the same divergence label.
     let minimal = minimize(
         &inst,
-        |candidate| matches!(check_instance(candidate), Err(d) if d.check == "engine-vs-sequential"),
+        |candidate| matches!(check_instance(candidate, &NoopObserver), Err(d) if d.check == "engine-vs-sequential"),
     );
     assert!(
         minimal.graph.num_relations() <= 5,
@@ -58,5 +59,5 @@ fn injected_tiebreak_inversion_is_caught_and_minimized() {
 
     // Disarming restores full conformance.
     failpoint::clear("engine-tiebreak-invert");
-    check_instance(&inst).expect("clean once the failpoint is cleared");
+    check_instance(&inst, &NoopObserver).expect("clean once the failpoint is cleared");
 }

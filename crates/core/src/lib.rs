@@ -22,10 +22,10 @@
 //! * [`formulas`] — closed forms for the counters (Sections 2.1–2.2,
 //!   with the published typos corrected) plus profile-based predictions
 //!   that work for arbitrary query graphs;
-//! * [`Optimizer`] / [`Algorithm`] — a façade with an `Auto` mode that
-//!   adapts to the query graph *and* to the machine's parallelism (the
-//!   paper's concluding recommendation, extended);
-//! * [`OptimizeRequest`] — the full-control session API: algorithm,
+//! * [`Algorithm`] — the algorithm catalogue, with an `Auto` mode that
+//!   adapts to the query graph, the thread count and the cost model
+//!   (the paper's concluding recommendation, extended);
+//! * [`OptimizeRequest`] — the one library entry point: algorithm,
 //!   cost model, thread count, time/cost/memory budgets, cooperative
 //!   cancellation and telemetry in one builder, with pooled
 //!   allocations via [`Session`], a parallel level-synchronous engine
@@ -97,7 +97,7 @@ pub use error::OptimizeError;
 pub use idp::Idp;
 pub use ikkbz::IkkBz;
 pub use leftdeep::DpSizeLeftDeep;
-pub use optimizer::{Algorithm, Optimizer};
+pub use optimizer::Algorithm;
 pub use parallel::Session;
 pub use request::{OptimizeOutcome, OptimizeRequest};
 pub use result::{DpResult, JoinOrderer};

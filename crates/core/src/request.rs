@@ -1,8 +1,8 @@
 //! The session API: [`OptimizeRequest`] and [`OptimizeOutcome`].
 //!
-//! [`Optimizer::optimize`](crate::Optimizer::optimize) answers "give me
-//! the best plan" with defaults everywhere. `OptimizeRequest` is the
-//! full-control entry point underneath it: one builder that carries the
+//! `OptimizeRequest` is the library's one entry point for a single
+//! query. `OptimizeRequest::new(&g, &cat).run()` answers "give me the
+//! best plan" with defaults everywhere; the same builder carries the
 //! algorithm, the cost model, the thread count, optional time, memory
 //! and cost budgets, a cancellation flag, the budget policy, and a
 //! telemetry observer — and that can run inside a pooled [`Session`] so
@@ -510,6 +510,7 @@ mod tests {
         assert_eq!(outcome.threads, 1);
         let direct = DpCcp.optimize(&w.graph, &w.catalog, &HashJoin).unwrap();
         assert_eq!(outcome.result.cost.to_bits(), direct.cost.to_bits());
+        assert_eq!(outcome.result.counters, direct.counters);
     }
 
     #[test]

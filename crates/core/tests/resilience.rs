@@ -11,11 +11,10 @@ use std::time::Duration;
 
 use joinopt_core::{
     Algorithm, BudgetAction, CancelFlag, DegradationRung, OptimizeError, OptimizeOutcome,
-    OptimizeRequest, Optimizer, TripKind,
+    OptimizeRequest, TripKind,
 };
 use joinopt_cost::workload::{self, Workload};
-use joinopt_cost::Catalog;
-use joinopt_qgraph::{GraphKind, QueryGraph};
+use joinopt_qgraph::GraphKind;
 
 fn assert_complete_plan(outcome: &OptimizeOutcome, w: &Workload) {
     assert_eq!(outcome.result.tree.relations(), w.graph.all_relations());
@@ -182,31 +181,6 @@ fn ladder_exhausted_when_even_goo_trips() {
 }
 
 #[test]
-fn batch_isolates_invalid_queries_between_valid_ones() {
-    let good: Vec<_> = (0..4)
-        .map(|seed| workload::family_workload(GraphKind::ALL[seed % 4], 6, seed as u64))
-        .collect();
-    let disconnected = QueryGraph::new(3).unwrap();
-    let disc_cat = Catalog::new(&disconnected);
-    let empty = QueryGraph::new(0).unwrap();
-    let empty_cat = Catalog::new(&empty);
-    let mut queries: Vec<(&QueryGraph, &Catalog)> =
-        good.iter().map(|w| (&w.graph, &w.catalog)).collect();
-    queries.insert(1, (&disconnected, &disc_cat));
-    queries.insert(3, (&empty, &empty_cat));
-    // Twice on the same optimizer: worker count is automatic now, and
-    // isolation must hold on a fresh pool and on a reused one alike.
-    for _ in 0..2 {
-        let results = Optimizer::new().optimize_batch(&queries);
-        assert_eq!(results.len(), 6);
-        assert!(results[1].is_err() && results[3].is_err());
-        for i in [0, 2, 4, 5] {
-            assert!(results[i].is_ok(), "query {i} must survive its neighbours");
-        }
-    }
-}
-
-#[test]
 fn cancel_flag_shared_across_requests_stops_each() {
     let w = workload::family_workload(GraphKind::Clique, 9, 0);
     let flag = CancelFlag::new();
@@ -349,82 +323,11 @@ mod failpoints {
     }
 
     #[test]
-    fn injected_panic_is_isolated_to_one_batch_query() {
-        let _guard = armed();
-        let workloads: Vec<_> = (0..3)
-            .map(|seed| workload::family_workload(GraphKind::Cycle, 7, seed))
-            .collect();
-        let queries: Vec<(&QueryGraph, &Catalog)> =
-            workloads.iter().map(|w| (&w.graph, &w.catalog)).collect();
-        // One panic: exactly one query blows up (worker count is
-        // automatic now, so whichever worker reaches a table insert
-        // first consumes the trigger) and the rest must complete on
-        // fresh sessions.
-        failpoint::configure_times("table-insert", FailAction::Panic, 1);
-        let results = Optimizer::new()
-            .with_algorithm(Algorithm::DpCcp)
-            .optimize_batch(&queries);
-        failpoint::clear_all();
-        assert_eq!(results.len(), 3);
-        let mut panicked = 0;
-        for (i, r) in results.iter().enumerate() {
-            match r {
-                Err(e) => {
-                    assert!(
-                        matches!(e, OptimizeError::Internal(m) if m.contains("panic")),
-                        "query {i}: {e}"
-                    );
-                    panicked += 1;
-                }
-                Ok(ok) => {
-                    assert_eq!(ok.tree.relations(), workloads[i].graph.all_relations());
-                }
-            }
-        }
-        assert_eq!(panicked, 1, "exactly one query consumes the trigger");
-    }
-
-    #[test]
-    fn batch_survives_every_query_panicking() {
-        let _guard = armed();
-        // Unlimited panics: every query in the batch blows up its
-        // worker session. Each slot must come back as a typed error —
-        // never a silent drop, a wrong-index shift, or a poisoned pool
-        // corrupting a neighbour — and a follow-up batch on the same
-        // optimizer must work again once the fault is cleared (the pool
-        // discards every panicked session instead of reusing it).
-        let workloads: Vec<_> = (0..4)
-            .map(|seed| workload::family_workload(GraphKind::Chain, 6, seed))
-            .collect();
-        let queries: Vec<(&QueryGraph, &Catalog)> =
-            workloads.iter().map(|w| (&w.graph, &w.catalog)).collect();
-        failpoint::configure("table-insert", FailAction::Panic);
-        let optimizer = Optimizer::new().with_algorithm(Algorithm::DpCcp);
-        let results = optimizer.optimize_batch(&queries);
-        failpoint::clear_all();
-        assert_eq!(results.len(), 4);
-        for (i, r) in results.iter().enumerate() {
-            let err = r.as_ref().expect_err("every query must fail");
-            assert!(
-                matches!(err, OptimizeError::Internal(m) if m.contains("panic")),
-                "query {i}: {err}"
-            );
-        }
-        // Same optimizer, fault cleared: the pool must be clean.
-        let recovered = optimizer.optimize_batch(&queries);
-        for (i, r) in recovered.iter().enumerate() {
-            let ok = r
-                .as_ref()
-                .unwrap_or_else(|e| panic!("query {i} after recovery: {e}"));
-            assert_eq!(ok.tree.relations(), workloads[i].graph.all_relations());
-        }
-    }
-
-    #[test]
     fn injected_panic_in_a_request_is_catchable_by_the_caller() {
         let _guard = armed();
-        // Outside optimize_batch no isolation is promised — but the
-        // panic must stay an unwind (caller-catchable), not an abort.
+        // Outside the service's batch pool no isolation is promised —
+        // but the panic must stay an unwind (caller-catchable), not an
+        // abort.
         let w = workload::family_workload(GraphKind::Chain, 6, 6);
         failpoint::configure_times("arena-alloc", FailAction::Panic, 1);
         let caught = std::panic::catch_unwind(|| {

@@ -4,10 +4,10 @@
 //! The server listens on a TCP address or a unix socket and speaks
 //! **newline-delimited JSON**: one request object per line, one
 //! response object per line, in order, per connection. Each connection
-//! gets its own thread and its own pooled optimizer
-//! [`Session`](joinopt_core::Session); every optimize request runs the
-//! gateway's full hardened lifecycle (shedding → breaker → deadline
-//! propagation → retries; see [`crate::gateway`]).
+//! gets its own thread and its own pooled optimizer [`Session`]; every
+//! optimize request runs the gateway's full hardened lifecycle
+//! (shedding → breaker → deadline propagation → retries; see
+//! [`crate::gateway`]).
 //!
 //! ## Protocol verbs
 //!
@@ -1205,7 +1205,7 @@ pub fn smoke(prom_path: Option<&std::path::Path>) -> Result<Vec<String>, String>
 /// against `tests/goldens/serve-span-timeline.json`.
 ///
 /// A manual-clock gateway and a seeded trace-id minter drive
-/// [`dispatch`] directly (no sockets, no threads), so every span
+/// `dispatch` directly (no sockets, no threads), so every span
 /// boundary is an exact virtual-clock reading:
 ///
 /// 1. a **cold** optimize with a server-minted trace id,

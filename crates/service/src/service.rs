@@ -5,9 +5,9 @@
 //! priority and per-request budgets, so it can sit in a queue, be
 //! rejected with a typed error, or be answered straight from the plan
 //! cache. Execution rides the core crate end to end: each worker pools
-//! a [`Session`](joinopt_core::Session) across the queries it claims,
-//! budget trips walk the exact → IDP → GOO degradation ladder when the
-//! request opted in, and panics are isolated per request.
+//! a [`Session`] across the queries it claims, budget trips walk the
+//! exact → IDP → GOO degradation ladder when the request opted in, and
+//! panics are isolated per request.
 //!
 //! ## Admission
 //!
@@ -35,7 +35,7 @@ use joinopt_core::{
     Algorithm, BudgetAction, DegradationInfo, DpResult, OptimizeError, OptimizeRequest, Session,
 };
 use joinopt_cost::{CostModel, Cout, HashJoin, MinOverPhysical, NestedLoopJoin, SortMergeJoin};
-use joinopt_telemetry::{NoopObserver, Observer};
+use joinopt_telemetry::Observer;
 
 use crate::cache::{CacheConfig, PlanCache};
 use crate::clock::{Clock, StageClock};
@@ -306,19 +306,20 @@ impl OptimizerService {
         self.cache.as_ref()
     }
 
-    /// Submits a batch. Results come back in input order; admission
-    /// rejections occupy their slots as typed errors.
+    /// Submits a batch — the library's one batch worker pool. Results
+    /// come back in input order; admission rejections occupy their slots
+    /// as typed errors.
+    ///
+    /// Each worker pools a [`Session`] across the requests it claims and
+    /// runs every query with one intra-query thread (query-level
+    /// parallelism dominates for a full batch). A request that panics is
+    /// isolated like in [`OptimizerService::submit_one`]: its slot holds
+    /// [`OptimizeError::Internal`] and the worker continues on a fresh
+    /// session. Every run and every cache lookup/store/evict reports to
+    /// `obs` (pass [`joinopt_telemetry::NoopObserver`] for none); it must
+    /// be `Sync` because workers emit concurrently, each event tagged
+    /// with its worker's thread id.
     pub fn submit_batch(
-        &self,
-        requests: &[ServiceRequest],
-    ) -> Vec<Result<ServiceOutcome, OptimizeError>> {
-        self.submit_batch_observed(requests, &NoopObserver)
-    }
-
-    /// [`OptimizerService::submit_batch`] with telemetry: every run and
-    /// every cache lookup/store/evict reports to `obs` (which must be
-    /// `Sync`; workers emit concurrently, tagged by thread id).
-    pub fn submit_batch_observed(
         &self,
         requests: &[ServiceRequest],
         obs: &(dyn Observer + Sync),
@@ -460,10 +461,16 @@ impl OptimizerService {
         let model = req.cost_model.model();
         let model_id = req.cost_model.name();
 
-        // Resolve `Auto` from the spec's density, exactly like the core
-        // policy at one intra-query thread, so the cache key is concrete.
+        // Resolve `Auto` from the spec's counts with the core policy at
+        // one intra-query thread, so the cache key is concrete and a hit
+        // never instantiates the graph.
         let algorithm = if req.algorithm == Algorithm::Auto {
-            resolve_auto(&req.spec)
+            Algorithm::select_auto_from_counts(
+                req.spec.num_relations(),
+                req.spec.num_edges(),
+                1,
+                Some(model),
+            )
         } else {
             req.algorithm
         };
@@ -565,21 +572,6 @@ impl OptimizerService {
     }
 }
 
-/// Resolves `Auto` from an owned spec without instantiating the graph:
-/// the same density policy as
-/// [`Algorithm::select_auto_with_parallelism`] at one intra-query
-/// thread (service workers run queries sequentially inside).
-fn resolve_auto(spec: &QuerySpec) -> Algorithm {
-    let n = spec.num_relations();
-    if (2..=joinopt_core::table::DenseDpTable::MAX_RELATIONS).contains(&n) {
-        let max_edges = n * (n - 1) / 2;
-        if 100 * spec.num_edges() >= 90 * max_edges {
-            return Algorithm::DpSub;
-        }
-    }
-    Algorithm::DpCcp
-}
-
 /// Renders a caught panic payload for [`OptimizeError::Internal`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -596,6 +588,7 @@ mod tests {
     use super::*;
     use joinopt_cost::workload;
     use joinopt_qgraph::GraphKind;
+    use joinopt_telemetry::NoopObserver;
 
     fn spec(kind: GraphKind, n: usize, seed: u64) -> QuerySpec {
         let w = workload::family_workload(kind, n, seed);
@@ -620,10 +613,10 @@ mod tests {
     fn warm_hit_is_bit_identical_to_the_cold_run() {
         let service = OptimizerService::default();
         let req = ServiceRequest::new(spec(GraphKind::Chain, 7, 11));
-        let cold = &service.submit_batch(std::slice::from_ref(&req))[0];
+        let cold = &service.submit_batch(std::slice::from_ref(&req), &NoopObserver)[0];
         let cold = cold.as_ref().unwrap();
         assert!(!cold.cache_hit);
-        let warm = &service.submit_batch(std::slice::from_ref(&req))[0];
+        let warm = &service.submit_batch(std::slice::from_ref(&req), &NoopObserver)[0];
         let warm = warm.as_ref().unwrap();
         assert!(warm.cache_hit);
         assert_eq!(warm.result.cost.to_bits(), cold.result.cost.to_bits());
@@ -641,7 +634,7 @@ mod tests {
         let reqs: Vec<_> = (0..4)
             .map(|i| ServiceRequest::new(spec(GraphKind::Star, 5, i)).with_tenant("acme"))
             .collect();
-        let results = service.submit_batch(&reqs);
+        let results = service.submit_batch(&reqs, &NoopObserver);
         assert!(results[0].is_ok());
         assert!(results[1].is_ok());
         for r in &results[2..] {
@@ -662,7 +655,7 @@ mod tests {
         let reqs: Vec<_> = (0..3)
             .map(|i| ServiceRequest::new(spec(GraphKind::Chain, 4, i)))
             .collect();
-        let results = service.submit_batch(&reqs);
+        let results = service.submit_batch(&reqs, &NoopObserver);
         assert!(results[0].is_ok());
         for r in &results[1..] {
             assert!(matches!(
@@ -684,26 +677,136 @@ mod tests {
                 ServiceRequest::new(spec(GraphKind::ALL[i as usize % 4], 5 + i as usize % 3, i))
             })
             .collect();
-        // A disconnected spec mid-batch must fail alone.
-        let disc_graph = joinopt_qgraph::QueryGraph::new(3).unwrap();
-        let disc_cat = joinopt_cost::Catalog::new(&disc_graph);
-        reqs.insert(
-            2,
-            ServiceRequest::new(QuerySpec::capture(&disc_graph, &disc_cat).unwrap()),
-        );
-        let results = service.submit_batch(&reqs);
-        assert_eq!(results.len(), 6);
-        assert!(results[2].is_err(), "disconnected request fails in place");
-        for (i, req) in reqs.iter().enumerate() {
-            if i == 2 {
-                continue;
-            }
-            let batch = results[i].as_ref().unwrap();
-            let single = &service.submit_batch(std::slice::from_ref(req))[0];
-            let single = single.as_ref().unwrap();
-            assert_eq!(batch.result.cost.to_bits(), single.result.cost.to_bits());
-            assert_eq!(batch.result.tree, single.result.tree);
+        // A disconnected spec and an empty one mid-batch must each fail
+        // alone.
+        let invalid = [2, 4];
+        for (slot, n) in invalid.into_iter().zip([3, 0]) {
+            let graph = joinopt_qgraph::QueryGraph::new(n).unwrap();
+            let catalog = joinopt_cost::Catalog::new(&graph);
+            reqs.insert(
+                slot,
+                ServiceRequest::new(QuerySpec::capture(&graph, &catalog).unwrap()),
+            );
         }
+        // Twice on the same service: isolation must hold on a fresh pool
+        // and on a reused one alike.
+        for _ in 0..2 {
+            let results = service.submit_batch(&reqs, &NoopObserver);
+            assert_eq!(results.len(), 7);
+            for (i, req) in reqs.iter().enumerate() {
+                if invalid.contains(&i) {
+                    assert!(results[i].is_err(), "invalid request {i} fails in place");
+                    continue;
+                }
+                let batch = results[i].as_ref().unwrap();
+                let single = &service.submit_batch(std::slice::from_ref(req), &NoopObserver)[0];
+                let single = single.as_ref().unwrap();
+                assert_eq!(batch.result.cost.to_bits(), single.result.cost.to_bits());
+                assert_eq!(batch.result.tree, single.result.tree);
+            }
+        }
+        assert!(service.submit_batch(&[], &NoopObserver).is_empty());
+    }
+
+    #[test]
+    fn auto_resolves_like_the_library_at_one_thread() {
+        // The serve path resolves `Auto` from the spec's counts; it must
+        // land on the algorithm a one-thread `OptimizeRequest` picks for
+        // the instantiated graph under the same cost model.
+        let mut rng = joinopt_relset::XorShift64::seed_from_u64(13);
+        let mut workloads = Vec::new();
+        for n in 2..=13 {
+            for kind in GraphKind::ALL {
+                workloads.push(workload::family_workload(kind, n, n as u64));
+            }
+            let graph = joinopt_qgraph::generators::random_tree(n, &mut rng).unwrap();
+            let catalog =
+                workload::random_catalog(&graph, workload::StatsRanges::default(), &mut rng);
+            workloads.push(workload::Workload { graph, catalog });
+        }
+        let service = OptimizerService::new(ServiceConfig {
+            cache: None,
+            worker_threads: 1,
+            ..ServiceConfig::default()
+        });
+        let models = [
+            CostModelId::Cout,
+            CostModelId::NestedLoopJoin,
+            CostModelId::HashJoin,
+            CostModelId::SortMergeJoin,
+            CostModelId::MinOverPhysical,
+        ];
+        let mut pinned = 0;
+        for model in models {
+            let reqs: Vec<_> = workloads
+                .iter()
+                .map(|w| {
+                    ServiceRequest::new(QuerySpec::capture(&w.graph, &w.catalog).unwrap())
+                        .with_cost_model(model)
+                })
+                .collect();
+            let served = service.submit_batch(&reqs, &NoopObserver);
+            for (w, served) in workloads.iter().zip(served) {
+                let served = served.unwrap().algorithm;
+                let library = OptimizeRequest::new(&w.graph, &w.catalog)
+                    .with_cost_model(model.model())
+                    .with_threads(1)
+                    .run()
+                    .unwrap()
+                    .algorithm;
+                let (n, edges) = (w.graph.num_relations(), w.graph.num_edges());
+                assert_eq!(served, library, "{model:?} n={n} edges={edges}");
+                // The 12-clique: DPconv under C_out, DPsub where the
+                // model guard keeps DPconv out.
+                let want = match (model, n, edges) {
+                    (CostModelId::Cout, 12, 66) => Algorithm::DpConv,
+                    (CostModelId::HashJoin, 12, 66) => Algorithm::DpSub,
+                    _ => continue,
+                };
+                assert_eq!(served, want, "{model:?} 12-clique");
+                pinned += 1;
+            }
+        }
+        assert_eq!(pinned, 2);
+    }
+
+    #[test]
+    fn batch_traces_tag_every_run_with_a_thread_id() {
+        use joinopt_telemetry::json::JsonValue;
+        use joinopt_telemetry::TraceWriter;
+        let service = OptimizerService::new(ServiceConfig {
+            cache: None,
+            ..ServiceConfig::default()
+        });
+        let reqs: Vec<_> = [(6, 0), (7, 1), (8, 2), (6, 3)]
+            .into_iter()
+            .map(|(n, seed)| ServiceRequest::new(spec(GraphKind::Chain, n, seed)))
+            .collect();
+        let trace = TraceWriter::new(Vec::new());
+        let results = service.submit_batch(&reqs, &trace);
+        assert_eq!(results.len(), 4);
+        assert!(results.iter().all(Result::is_ok));
+        let text = String::from_utf8(trace.finish().unwrap()).unwrap();
+
+        let mut starts = 0usize;
+        let mut tids = Vec::new();
+        for line in text.lines() {
+            let v = JsonValue::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
+            let tid = v
+                .get("thread_id")
+                .and_then(|t| t.as_u64())
+                .expect("thread_id on every event");
+            tids.push(tid);
+            if v.get("event").and_then(|e| e.as_str()) == Some("run_start") {
+                starts += 1;
+            }
+        }
+        // One run per request, and the events came from the pooled batch
+        // workers, not the coordinating thread alone.
+        assert_eq!(starts, 4, "{text}");
+        tids.sort_unstable();
+        tids.dedup();
+        assert!(!tids.is_empty());
     }
 
     #[test]
@@ -713,7 +816,7 @@ mod tests {
             ServiceRequest::new(spec(GraphKind::Chain, 5, 0)).with_priority(Priority::Low),
             ServiceRequest::new(spec(GraphKind::Star, 5, 1)).with_priority(Priority::High),
         ];
-        let results = service.submit_batch(&reqs);
+        let results = service.submit_batch(&reqs, &NoopObserver);
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(Result::is_ok));
         // Slot 0 is still the chain (5 relations, 4 edges).
@@ -728,7 +831,7 @@ mod tests {
         let req = ServiceRequest::new(spec(GraphKind::Clique, 7, 3))
             .with_cost_budget(0.0)
             .with_degradation();
-        let r = &service.submit_batch(std::slice::from_ref(&req))[0];
+        let r = &service.submit_batch(std::slice::from_ref(&req), &NoopObserver)[0];
         let r = r.as_ref().unwrap();
         assert!(r.degradation.is_some());
         assert_eq!(service.cache().unwrap().stats().stores, 0);

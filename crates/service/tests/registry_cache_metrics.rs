@@ -30,7 +30,7 @@ fn hit_and_miss_counters_fold_into_the_registry_snapshot() {
 
     let registry = MetricsRegistry::new();
     let observer = RegistryObserver::new(&registry);
-    let results = service.submit_batch_observed(&requests, &observer);
+    let results = service.submit_batch(&requests, &observer);
     assert!(results.iter().all(|r| r.is_ok()));
 
     let snapshot = registry.snapshot();

@@ -1,31 +1,126 @@
-//! The service-level resilience-matrix case: a fault burst opens the
+//! The service-level resilience matrix: a fault burst opens the
 //! tenant's circuit breaker, the breaker recloses after the cooldown,
-//! and a drain started with requests still in flight completes cleanly.
+//! and a drain started with requests still in flight completes cleanly;
+//! and the batch pool isolates injected engine panics per request.
 //!
-//! Lives in its own integration binary (own process): the burst arms
-//! the process-global `serve-worker-panic` failpoint, which must not
-//! leak into sibling tests running concurrently in the same process.
+//! Lives in its own integration binary (own process): the cases arm
+//! process-global failpoints, which must not leak into sibling tests of
+//! other binaries. Within this binary the cases serialize on one lock.
 //! Only the failpoints build (`RUSTFLAGS="--cfg failpoints"`) can
-//! inject faults, so the whole scenario is gated on that cfg.
+//! inject faults, so the whole matrix is gated on that cfg.
 
 #![cfg(failpoints)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use joinopt_core::failpoint::{self, FailAction};
+use joinopt_core::{Algorithm, OptimizeError};
+use joinopt_qgraph::GraphKind;
 use joinopt_service::{
     BreakerConfig, BreakerState, Clock, Gateway, GatewayConfig, GatewayError, OptimizerService,
     QuerySpec, RetryConfig, ServiceConfig, ServiceRequest,
 };
 use joinopt_telemetry::NoopObserver;
 
+/// The failpoint registry is process-global; cases that arm sites
+/// serialize on this lock and clear the registry on both sides.
+static FP_LOCK: Mutex<()> = Mutex::new(());
+
+fn armed() -> MutexGuard<'static, ()> {
+    let guard = FP_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    failpoint::clear_all();
+    guard
+}
+
+fn family_spec(kind: GraphKind, n: usize, seed: u64) -> QuerySpec {
+    let w = joinopt_cost::workload::family_workload(kind, n, seed);
+    QuerySpec::capture(&w.graph, &w.catalog).expect("family workload is connected")
+}
+
 fn spec(n: usize, seed: u64) -> QuerySpec {
-    let w = joinopt_cost::workload::family_workload(joinopt_qgraph::GraphKind::Chain, n, seed);
-    QuerySpec::capture(&w.graph, &w.catalog).expect("chain workload is connected")
+    family_spec(GraphKind::Chain, n, seed)
+}
+
+/// A cache-less service whose batch requests all run DPccp, so every
+/// query reaches the `table-insert` failpoint.
+fn dpccp_batch(kind: GraphKind, n: usize, count: u64) -> (OptimizerService, Vec<ServiceRequest>) {
+    let service = OptimizerService::new(ServiceConfig {
+        cache: None,
+        ..ServiceConfig::default()
+    });
+    let requests = (0..count)
+        .map(|seed| {
+            ServiceRequest::new(family_spec(kind, n, seed)).with_algorithm(Algorithm::DpCcp)
+        })
+        .collect();
+    (service, requests)
+}
+
+fn assert_panicked(r: &Result<joinopt_service::ServiceOutcome, OptimizeError>, i: usize) {
+    let err = r
+        .as_ref()
+        .expect_err("the injected panic must fail the request");
+    assert!(
+        matches!(err, OptimizeError::Internal(m) if m.contains("panic")),
+        "request {i}: {err}"
+    );
+}
+
+#[test]
+fn injected_panic_is_isolated_to_one_batch_query() {
+    let _guard = armed();
+    let (service, requests) = dpccp_batch(GraphKind::Cycle, 7, 3);
+    // One panic: exactly one request blows up (whichever worker reaches
+    // a table insert first consumes the trigger) and the rest must
+    // complete on fresh sessions.
+    failpoint::configure_times("table-insert", FailAction::Panic, 1);
+    let results = service.submit_batch(&requests, &NoopObserver);
+    failpoint::clear_all();
+    assert_eq!(results.len(), 3);
+    let mut panicked = 0;
+    for (i, r) in results.iter().enumerate() {
+        match r {
+            Err(_) => {
+                assert_panicked(r, i);
+                panicked += 1;
+            }
+            Ok(ok) => assert_eq!(ok.result.tree.num_relations(), 7, "request {i}"),
+        }
+    }
+    assert_eq!(panicked, 1, "exactly one request consumes the trigger");
+}
+
+#[test]
+fn batch_survives_every_query_panicking() {
+    let _guard = armed();
+    // Unlimited panics: every request in the batch blows up its worker
+    // session. Each slot must come back as a typed error — never a
+    // silent drop, a wrong-index shift, or a poisoned pool corrupting a
+    // neighbour — and a follow-up batch on the same service must work
+    // again once the fault is cleared (the pool discards every panicked
+    // session instead of reusing it).
+    let (service, requests) = dpccp_batch(GraphKind::Chain, 6, 4);
+    failpoint::configure("table-insert", FailAction::Panic);
+    let results = service.submit_batch(&requests, &NoopObserver);
+    failpoint::clear_all();
+    assert_eq!(results.len(), 4);
+    for (i, r) in results.iter().enumerate() {
+        assert_panicked(r, i);
+    }
+    // Same service, fault cleared: the pool must be clean.
+    let recovered = service.submit_batch(&requests, &NoopObserver);
+    for (i, r) in recovered.iter().enumerate() {
+        let ok = r
+            .as_ref()
+            .unwrap_or_else(|e| panic!("request {i} after recovery: {e}"));
+        assert_eq!(ok.result.tree.num_relations(), 6);
+    }
 }
 
 #[test]
 fn fault_burst_opens_breaker_and_drain_completes() {
+    let _guard = armed();
     let gw = Gateway::with_clock(
         OptimizerService::new(ServiceConfig::default()),
         GatewayConfig {

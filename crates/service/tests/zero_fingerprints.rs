@@ -11,6 +11,7 @@ use joinopt_qgraph::GraphKind;
 use joinopt_service::{
     fingerprints_computed, OptimizerService, QuerySpec, ServiceConfig, ServiceRequest,
 };
+use joinopt_telemetry::NoopObserver;
 
 #[test]
 fn disabled_cache_computes_zero_fingerprints() {
@@ -28,7 +29,7 @@ fn disabled_cache_computes_zero_fingerprints() {
             ServiceRequest::new(spec)
         })
         .collect();
-    let results = service.submit_batch(&requests);
+    let results = service.submit_batch(&requests, &NoopObserver);
 
     for r in &results {
         let outcome = r.as_ref().expect("cycles optimize");

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect::<Result<_, OptimizeError>>()?;
-    let results = service.submit_batch(&requests);
+    let results = service.submit_batch(&requests, &NoopObserver);
     println!("batch of {} requests across two tenants:", results.len());
     for (i, r) in results.iter().enumerate() {
         let r = r.as_ref().expect("all within limits");
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 2. The cache sees through relabeling. ------------------------
     let w = workload::family_workload(GraphKind::Star, 7, 42);
     let spec = QuerySpec::capture(&w.graph, &w.catalog)?;
-    let cold = &service.submit_batch(&[ServiceRequest::new(spec.clone())])[0];
+    let cold = &service.submit_batch(&[ServiceRequest::new(spec.clone())], &NoopObserver)[0];
     let cold = cold.as_ref().expect("star optimizes");
 
     // The same query with its relations renumbered: a different spec,
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let relabeled = QuerySpec::capture(&renumbered, &catalog)?;
     assert_ne!(spec, relabeled, "different specs…");
-    let warm = &service.submit_batch(&[ServiceRequest::new(relabeled)])[0];
+    let warm = &service.submit_batch(&[ServiceRequest::new(relabeled)], &NoopObserver)[0];
     let warm = warm.as_ref().expect("relabeled star optimizes");
     assert!(warm.cache_hit, "…but the same canonical query");
     println!(
@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|r| r.tenant == "alice")
         .cloned()
         .collect();
-    let results = service.submit_batch(&alice);
+    let results = service.submit_batch(&alice, &NoopObserver);
     let rejected = results
         .iter()
         .filter(|r| matches!(r, Err(OptimizeError::TenantLimitExceeded { .. })))

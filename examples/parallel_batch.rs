@@ -5,8 +5,8 @@
 //!    deterministic order at every level barrier;
 //! 2. a pooled [`Session`] amortizing DP-table and plan-arena
 //!    allocations across repeated runs;
-//! 3. [`Optimizer::optimize_batch`] spreading a mixed workload across
-//!    workers, one query per thread.
+//! 3. [`OptimizerService::submit_batch`] spreading a mixed workload
+//!    across its worker pool, one query per thread.
 //!
 //! Run with: `cargo run --release --example parallel_batch`
 
@@ -53,14 +53,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 3. A batch of queries, one worker thread each. ---------------
-    let workloads: Vec<_> = (0..6)
-        .map(|i| workload::family_workload(GraphKind::ALL[i % 4], 8 + i % 3, i as u64))
-        .collect();
-    let queries: Vec<_> = workloads.iter().map(|w| (&w.graph, &w.catalog)).collect();
-    let results = Optimizer::new().optimize_batch(&queries);
+    let specs = (0..6)
+        .map(|i| {
+            let w = workload::family_workload(GraphKind::ALL[i % 4], 8 + i % 3, i as u64);
+            QuerySpec::capture(&w.graph, &w.catalog)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let requests: Vec<_> = specs.into_iter().map(ServiceRequest::new).collect();
+    let service = OptimizerService::new(ServiceConfig {
+        cache: None,
+        ..ServiceConfig::default()
+    });
+    let results = service.submit_batch(&requests, &NoopObserver);
     println!("batch of {} queries:", results.len());
     for (i, r) in results.iter().enumerate() {
-        let r = r.as_ref().expect("connected workloads optimize");
+        let r = &r.as_ref().expect("connected workloads optimize").result;
         println!("  #{i}  cost={:.6e}  {}", r.cost, r.tree);
     }
     Ok(())

@@ -17,11 +17,11 @@
 //! | [`qgraph`] | query graphs, generators, BFS numbering, `EnumerateCsg`/`EnumerateCmp`, `#csg`/`#ccp` formulas |
 //! | [`cost`] | catalog, cardinality estimator, cost models, workloads |
 //! | [`plan`] | plan arena and join trees |
-//! | [`core`] | DPsize / DPsub / DPccp / DPhyp, counters, counter formulas, oracle, GOO, the [`Optimizer`](crate::prelude::Optimizer) façade, the [`OptimizeRequest`](crate::prelude::OptimizeRequest) session API and the parallel level-synchronous DPsub engine |
+//! | [`core`] | DPsize / DPsub / DPccp / DPhyp, counters, counter formulas, oracle, GOO, adaptive [`Algorithm`](crate::prelude::Algorithm) selection, the [`OptimizeRequest`](crate::prelude::OptimizeRequest) entry point for one query and the parallel level-synchronous DPsub engine |
 //! | [`query`] | textual query-description format and SQL frontend |
 //! | [`exec`] | toy execution engine: synthesize data, run plans, measure |
 //! | [`telemetry`] | zero-overhead observer API, run metrics, JSONL tracing |
-//! | [`service`] | optimizer-as-a-service: owned [`QuerySpec`](crate::prelude::QuerySpec)s, canonical query fingerprints, the sharded plan cache and batched admission |
+//! | [`service`] | optimizer-as-a-service: owned [`QuerySpec`](crate::prelude::QuerySpec)s, canonical query fingerprints, the sharded plan cache and the batch entry point [`OptimizerService::submit_batch`](crate::prelude::OptimizerService::submit_batch) |
 //!
 //! # Quickstart
 //!
@@ -37,9 +37,9 @@
 //!     catalog.set_selectivity(dim - 1, 0.01).unwrap();
 //! }
 //!
-//! let result = Optimizer::new().optimize(&graph, &catalog).unwrap();
-//! println!("{}", result.tree.explain());
-//! assert_eq!(result.tree.num_relations(), 5);
+//! let outcome = OptimizeRequest::new(&graph, &catalog).run().unwrap();
+//! println!("{}", outcome.result.tree.explain());
+//! assert_eq!(outcome.result.tree.num_relations(), 5);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,7 +59,7 @@ pub use joinopt_telemetry as telemetry;
 pub mod prelude {
     pub use joinopt_core::{
         Algorithm, Counters, DpCcp, DpHyp, DpResult, DpSize, DpSizeLeftDeep, DpSub, JoinOrderer,
-        OptimizeError, OptimizeOutcome, OptimizeRequest, Optimizer, Session,
+        OptimizeError, OptimizeOutcome, OptimizeRequest, Session,
     };
     pub use joinopt_cost::{
         CardinalityEstimator, Catalog, CostModel, Cout, HashJoin, MinOverPhysical, NestedLoopJoin,

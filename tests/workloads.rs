@@ -38,9 +38,10 @@ fn every_workload_parses_and_optimizes() {
         let q = load(name);
         match q.graph() {
             Some(graph) => {
-                let r = Optimizer::new()
-                    .optimize(graph, &q.catalog)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                let r = OptimizeRequest::new(graph, &q.catalog)
+                    .run()
+                    .unwrap_or_else(|e| panic!("{name}: {e}"))
+                    .result;
                 assert_eq!(r.tree.num_relations(), q.names().len(), "{name}");
                 assert!(r.cost.is_finite() && r.cost > 0.0, "{name}");
             }
@@ -121,5 +122,9 @@ fn complex_predicate_workload_requires_dphyp() {
 fn clique_workload_triggers_dpsub_auto_selection() {
     let q = load("clique_analytics.query");
     let g = q.graph().unwrap();
-    assert_eq!(Algorithm::select_auto(g), Algorithm::DpSub);
+    let outcome = OptimizeRequest::new(g, &q.catalog)
+        .with_threads(1)
+        .run()
+        .unwrap();
+    assert_eq!(outcome.algorithm, Algorithm::DpSub);
 }
