@@ -1,5 +1,6 @@
 //! The fuzzing driver: generate → check → (on failure) minimize.
 
+use joinopt_core::Session;
 use joinopt_telemetry::{NoopObserver, Observer};
 
 use crate::generator::{generate_instance, Instance};
@@ -74,12 +75,18 @@ impl FuzzReport {
 /// visible to a metrics registry or trace. Minimization replays stay
 /// unobserved (shrinking repeats the checks hundreds of times and would
 /// swamp the campaign's own signal). The observer never changes which
-/// instances are checked or the report.
+/// instances are checked or the report. All instances share one
+/// [`Session`], so pooled state carried between queries is checked too;
+/// minimization replays each start from a fresh one.
 pub fn run_fuzz(config: &FuzzConfig, obs: &dyn Observer) -> FuzzReport {
     let mut failures = Vec::new();
+    // One session for the whole campaign, as a serving connection keeps
+    // one: every instance's pooled DPccp run starts on the table the
+    // previous instances left behind.
+    let mut session = Session::new();
     for index in 0..config.iters {
         let instance = generate_instance(config.seed, index, config.max_n);
-        let checked = check_full(&instance, obs).and_then(|()| {
+        let checked = check_full(&instance, obs, &mut session).and_then(|()| {
             if config.cache {
                 crate::fingerprint::check_cache_replay(&instance)
             } else {
@@ -90,13 +97,14 @@ pub fn run_fuzz(config: &FuzzConfig, obs: &dyn Observer) -> FuzzReport {
             let minimized = config.minimize.then(|| {
                 let label = divergence.check;
                 shrink::minimize(&instance, |candidate| {
-                    let replay = check_full(candidate, &NoopObserver).and_then(|()| {
-                        if config.cache {
-                            crate::fingerprint::check_cache_replay(candidate)
-                        } else {
-                            Ok(())
-                        }
-                    });
+                    let replay = check_full(candidate, &NoopObserver, &mut Session::new())
+                        .and_then(|()| {
+                            if config.cache {
+                                crate::fingerprint::check_cache_replay(candidate)
+                            } else {
+                                Ok(())
+                            }
+                        });
                     matches!(replay, Err(d) if d.check == label)
                 })
             });

@@ -54,7 +54,8 @@ pub use shrink::minimize;
 /// [`fingerprint`] invariance — on one instance. (The optional
 /// cold/warm cache replay is driven separately by
 /// [`FuzzConfig::cache`].) The instance's reference DPccp run reports
-/// to `obs` (see [`check_instance`]).
+/// to `obs`, and its pooled DPccp run uses `session` (see
+/// [`check_instance`]).
 ///
 /// # Errors
 ///
@@ -62,8 +63,9 @@ pub use shrink::minimize;
 pub fn check_full(
     inst: &Instance,
     obs: &dyn joinopt_telemetry::Observer,
+    session: &mut joinopt_core::Session,
 ) -> Result<(), Divergence> {
-    oracle::check_instance(inst, obs)?;
+    oracle::check_instance(inst, obs, session)?;
     metamorphic::check_metamorphic(inst)?;
     fingerprint::check_fingerprint(inst)
 }
@@ -81,5 +83,9 @@ pub fn check_dsl(text: &str) -> Result<(), Divergence> {
         check: "dsl-parse",
         detail,
     })?;
-    check_full(&inst, &joinopt_telemetry::NoopObserver)
+    check_full(
+        &inst,
+        &joinopt_telemetry::NoopObserver,
+        &mut joinopt_core::Session::new(),
+    )
 }

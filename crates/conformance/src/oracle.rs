@@ -24,7 +24,9 @@ use joinopt_core::formulas::{
     dpsize_inner_from_profile, dpsize_naive_inner_from_profile, dpsub_inner_from_profile,
     dpsub_unfiltered_inner,
 };
-use joinopt_core::{exhaustive, Algorithm, DpHyp, DpResult, OptimizeError, OptimizeRequest};
+use joinopt_core::{
+    exhaustive, Algorithm, DpHyp, DpResult, OptimizeError, OptimizeRequest, Session,
+};
 use joinopt_cost::Cout;
 use joinopt_plan::JoinTree;
 use joinopt_qgraph::hypergraph::Hypergraph;
@@ -109,10 +111,19 @@ pub const RANKED_CHECK_MAX_N: usize = 16;
 /// other matrix runs stay unobserved — they re-derive the same answer
 /// and would only multiply every counter.
 ///
+/// DPccp also runs inside `session` (its pooled direct-addressed table)
+/// and must match the sparse reference bit for bit; a campaign passes
+/// one session to every instance so that stale pooled state from
+/// earlier queries is part of what is checked.
+///
 /// # Errors
 ///
 /// Returns the first [`Divergence`] found.
-pub fn check_instance(inst: &Instance, obs: &dyn Observer) -> Result<(), Divergence> {
+pub fn check_instance(
+    inst: &Instance,
+    obs: &dyn Observer,
+    session: &mut Session,
+) -> Result<(), Divergence> {
     let g = &inst.graph;
     let n = g.num_relations();
     if n == 1 {
@@ -218,6 +229,28 @@ pub fn check_instance(inst: &Instance, obs: &dyn Observer) -> Result<(), Diverge
     check_engine(inst, &results)?;
     let cp_engine = engine_result(inst, Algorithm::DpSubCrossProducts, 4)?;
     compare_bit_identical(inst, "DPsub-cp", 4, &cp, &cp_engine)?;
+    //    DPccp on the session's pooled table builds the same nodes as
+    //    the sparse reference, so `plans_built` must match too.
+    let pooled = OptimizeRequest::new(g, &inst.catalog)
+        .with_algorithm(Algorithm::DpCcp)
+        .run_in(session)
+        .map(|outcome| outcome.result)
+        .map_err(|e| {
+            diverge(
+                "engine-vs-sequential",
+                format!("{}: pooled DPccp run failed: {e}", inst.name),
+            )
+        })?;
+    compare_bit_identical(inst, "DPccp-pooled", 1, &reference, &pooled)?;
+    if pooled.plans_built != reference.plans_built {
+        return Err(diverge(
+            "engine-vs-sequential",
+            format!(
+                "{}: pooled DPccp built {} plans, sparse {}",
+                inst.name, pooled.plans_built, reference.plans_built
+            ),
+        ));
+    }
 
     // 6. The structurally independent exhaustive oracle, for small n.
     if n <= EXHAUSTIVE_MAX_N {
@@ -669,7 +702,8 @@ mod tests {
     fn clean_instances_pass() {
         for index in 0..12 {
             let inst = generate_instance(2006, index, 8);
-            check_instance(&inst, &NoopObserver).unwrap_or_else(|d| panic!("{}: {d}", inst.name));
+            check_instance(&inst, &NoopObserver, &mut Session::new())
+                .unwrap_or_else(|d| panic!("{}: {d}", inst.name));
         }
     }
 
@@ -677,7 +711,8 @@ mod tests {
     fn tie_rich_instances_pass_without_injection() {
         for n in [3, 5, 8] {
             let inst = generator::tie_rich_chain(n);
-            check_instance(&inst, &NoopObserver).unwrap_or_else(|d| panic!("{}: {d}", inst.name));
+            check_instance(&inst, &NoopObserver, &mut Session::new())
+                .unwrap_or_else(|d| panic!("{}: {d}", inst.name));
         }
     }
 
@@ -713,7 +748,7 @@ mod tests {
             graph: g,
             catalog,
         };
-        check_instance(&inst, &NoopObserver).unwrap_or_else(|d| panic!("{d}"));
+        check_instance(&inst, &NoopObserver, &mut Session::new()).unwrap_or_else(|d| panic!("{d}"));
     }
 
     #[test]
@@ -727,6 +762,6 @@ mod tests {
             graph: g,
             catalog,
         };
-        check_instance(&inst, &NoopObserver).unwrap_or_else(|d| panic!("{d}"));
+        check_instance(&inst, &NoopObserver, &mut Session::new()).unwrap_or_else(|d| panic!("{d}"));
     }
 }

@@ -14,6 +14,7 @@
 
 use joinopt_conformance::{check_instance, explain_failure, generator, minimize, Failure};
 use joinopt_core::failpoint::{self, FailAction};
+use joinopt_core::Session;
 use joinopt_telemetry::NoopObserver;
 
 #[test]
@@ -26,14 +27,14 @@ fn injected_tiebreak_inversion_is_caught_and_minimized() {
     // splits of the full set cost bit-identically, so the inverted
     // tie-break picks a different plan tree.
     let inst = generator::tie_rich_chain(8);
-    let divergence = check_instance(&inst, &NoopObserver)
+    let divergence = check_instance(&inst, &NoopObserver, &mut Session::new())
         .expect_err("the inverted tie-break must change the engine's plan");
     assert_eq!(divergence.check, "engine-vs-sequential", "{divergence}");
 
     // Shrink to a minimal repro reproducing the same divergence label.
     let minimal = minimize(
         &inst,
-        |candidate| matches!(check_instance(candidate, &NoopObserver), Err(d) if d.check == "engine-vs-sequential"),
+        |candidate| matches!(check_instance(candidate, &NoopObserver, &mut Session::new()), Err(d) if d.check == "engine-vs-sequential"),
     );
     assert!(
         minimal.graph.num_relations() <= 5,
@@ -59,5 +60,6 @@ fn injected_tiebreak_inversion_is_caught_and_minimized() {
 
     // Disarming restores full conformance.
     failpoint::clear("engine-tiebreak-invert");
-    check_instance(&inst, &NoopObserver).expect("clean once the failpoint is cleared");
+    check_instance(&inst, &NoopObserver, &mut Session::new())
+        .expect("clean once the failpoint is cleared");
 }

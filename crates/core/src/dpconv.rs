@@ -123,6 +123,16 @@ impl DpConvScratch {
                 .sum::<usize>()
     }
 
+    /// Bytes of dense storage a run over `n` relations addresses: the
+    /// `2^n` entries of each table, not the pooled capacities an
+    /// earlier, larger query left behind.
+    fn run_bytes(n: usize) -> usize {
+        (1usize << n)
+            * (std::mem::size_of::<bool>()
+                + 2 * std::mem::size_of::<f64>()
+                + std::mem::size_of::<u64>())
+    }
+
     /// Resets for a query of `n` relations, keeping allocations.
     fn prepare(&mut self, n: usize) {
         let size = 1usize << n;
@@ -203,7 +213,7 @@ pub(crate) fn run_pooled(
 
     let size = 1usize << n;
     scratch.prepare(n);
-    ctl.charge(scratch.bytes())?;
+    ctl.charge(DpConvScratch::run_bytes(n))?;
     let mut pace = 0u32;
 
     // Connectivity bitmap + ranked connected-set lists + per-set

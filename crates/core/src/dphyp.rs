@@ -236,7 +236,7 @@ impl HypState<'_> {
     fn emit_csg_cmp(&mut self, s1: RelSet, s2: RelSet) {
         self.counters.inner += 1;
         self.counters.ono_lohman += 1;
-        let (Some(&e1), Some(&e2)) = (self.table.get(s1), self.table.get(s2)) else {
+        let (Some(e1), Some(e2)) = (self.table.get(s1), self.table.get(s2)) else {
             return; // unreachable: emitted operands are buildable
         };
         let union = s1 | s2;

@@ -260,7 +260,7 @@ impl<'a, T: PlanTable> Driver<'a, T> {
     /// connectivity-by-membership tests through this.
     #[inline]
     pub fn probe(&mut self, s: RelSet) -> Option<TableEntry> {
-        let entry = self.table.get(s).copied();
+        let entry = self.table.get(s);
         if self.observe {
             self.probes += 1;
             self.hits += u64::from(entry.is_some());
@@ -309,7 +309,7 @@ impl<'a, T: PlanTable> Driver<'a, T> {
     #[inline]
     fn operand(&self, s: RelSet) -> Result<TableEntry, OptimizeError> {
         match self.table.get(s) {
-            Some(e) => Ok(*e),
+            Some(e) => Ok(e),
             None => Err(OptimizeError::Internal(format!(
                 "BestPlan({s}) missing for an emitted pair"
             ))),
@@ -351,7 +351,6 @@ impl<'a, T: PlanTable> Driver<'a, T> {
         let union = s1 | s2;
         match self.table.get(union) {
             Some(existing) => {
-                let existing = *existing;
                 self.note_union_probe(union, true);
                 let out_card = existing.stats.cardinality;
                 let cost =

@@ -146,9 +146,7 @@ impl JoinOrderer for Idp {
                             }
                             counters.csg_cmp_pairs += 2;
                             counters.ono_lohman += 1;
-                            let (Some(e1), Some(e2)) =
-                                (table.get(a).copied(), table.get(b).copied())
-                            else {
+                            let (Some(e1), Some(e2)) = (table.get(a), table.get(b)) else {
                                 return Err(OptimizeError::Internal(
                                     "IDP operand missing from the round table".into(),
                                 ));
@@ -227,7 +225,7 @@ impl JoinOrderer for Idp {
             };
             let mut best: Option<(RelSet, RelSet, TableEntry)> = None;
             for &(mask, rels) in level {
-                let Some(entry) = table.get(mask).copied() else {
+                let Some(entry) = table.get(mask) else {
                     return Err(OptimizeError::Internal(
                         "IDP committed mask missing from the round table".into(),
                     ));

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, PlanStats};
-use joinopt_plan::{PlanArena, PlanId};
+use joinopt_plan::PlanArena;
 use joinopt_qgraph::QueryGraph;
 use joinopt_relset::RelSet;
 use joinopt_telemetry::{current_thread_id, Event, Observer};
@@ -55,7 +55,7 @@ use crate::counters::Counters;
 use crate::error::OptimizeError;
 use crate::failpoint;
 use crate::result::DpResult;
-use crate::table::DenseDpTable;
+use crate::table::{DenseDpTable, PlanTable, TableEntry};
 
 /// Which DPsub variant the engine runs (same semantics and counter
 /// conventions as the sequential [`crate::DpSub`],
@@ -172,11 +172,18 @@ struct ChunkReport {
     thread_id: u64,
 }
 
-/// A reusable optimization session: pools the engine's DP-table and
+/// A reusable optimization session: pools the dense DP-table and
 /// plan-arena allocations across repeated
 /// [`OptimizeRequest`](crate::OptimizeRequest) calls, amortizing the
 /// `Θ(2ⁿ)` table initialization and arena growth over a workload
 /// instead of paying them per query.
+///
+/// One direct-addressed [`DenseDpTable`] serves the DPsub engine and
+/// DPccp (up to [`crate::DpCcp::POOLED_MAX_RELATIONS`] relations);
+/// DPconv keeps its own dense scratch here. A run resets only the
+/// table's presence bitmap, and budgets charge a run for the storage it
+/// addresses (`2ⁿ` slots for its `n`, plus its own plan nodes) — never
+/// for capacity an earlier, larger query left behind.
 ///
 /// Reuse is observable through the existing telemetry events: on a
 /// fresh session the first run's `arena_stats.bytes` reflects the
@@ -201,12 +208,8 @@ struct ChunkReport {
 /// ```
 #[derive(Debug, Default)]
 pub struct Session {
-    /// Best (cardinality, cost) per set, direct-addressed by bits.
-    stats: Vec<PlanStats>,
-    /// Presence bitmap over `stats`/`plans`.
-    present: Vec<u64>,
-    /// Arena id of the best plan per set, direct-addressed by bits.
-    plans: Vec<PlanId>,
+    /// Pooled `BestPlan` storage, direct-addressed by set bits.
+    table: DenseDpTable,
     /// Pooled plan arena, cleared (not shrunk) between runs.
     arena: PlanArena,
     /// Scratch: the current level's subsets, ascending.
@@ -234,11 +237,7 @@ impl Session {
     /// Bytes currently held by the pooled buffers (tables, bitmap,
     /// arena) — the allocation a fresh run gets for free.
     pub fn pooled_bytes(&self) -> usize {
-        self.stats.capacity() * std::mem::size_of::<PlanStats>()
-            + self.present.capacity() * std::mem::size_of::<u64>()
-            + self.plans.capacity() * std::mem::size_of::<PlanId>()
-            + self.arena.bytes()
-            + self.dpconv.bytes()
+        self.table.allocated_bytes() + self.arena.bytes() + self.dpconv.bytes()
     }
 
     /// The pooled DPconv scratch, counting the hand-out as a served run.
@@ -247,35 +246,26 @@ impl Session {
         &mut self.dpconv
     }
 
-    /// Readies the pooled buffers for a run over `n` relations: grows
-    /// the direct-addressed tables if needed, clears presence and the
-    /// arena, and never shrinks.
-    fn prepare(&mut self, n: usize) {
-        let size = 1usize << n;
-        if self.stats.len() < size {
-            self.stats.resize(size, PlanStats::base(0.0));
-            self.plans.resize(size, PlanId::SENTINEL);
-        }
-        let words = size.div_ceil(64);
-        if self.present.len() < words {
-            self.present.resize(words, 0);
-        }
-        self.present[..words].fill(0);
-        self.arena.clear();
+    /// The pooled `BestPlan` table, reset for a run over `n` relations,
+    /// counting the hand-out as a served run.
+    pub(crate) fn dense_table(&mut self, n: usize) -> &mut DenseDpTable {
+        self.table.reset(n);
         self.runs += 1;
+        &mut self.table
     }
-}
 
-#[inline]
-fn is_present(present: &[u64], bits: u64) -> bool {
-    let idx = bits as usize;
-    (present[idx >> 6] >> (idx & 63)) & 1 == 1
-}
+    /// Readies the pooled table and arena for an engine run over `n`
+    /// relations; neither ever shrinks.
+    fn prepare(&mut self, n: usize) {
+        self.dense_table(n);
+        self.arena.clear();
+    }
 
-#[inline]
-fn mark_present(present: &mut [u64], bits: u64) {
-    let idx = bits as usize;
-    present[idx >> 6] |= 1u64 << (idx & 63);
+    /// What the current engine run addresses: its `2ⁿ` table slots and
+    /// its own plan nodes, whatever the pooled capacity.
+    fn run_bytes(&self) -> usize {
+        self.table.bytes() + self.arena.used_bytes()
+    }
 }
 
 /// Shared read-only state a level's workers operate on.
@@ -283,8 +273,7 @@ struct LevelShared<'a> {
     g: &'a QueryGraph,
     est: &'a CardinalityEstimator,
     model: &'a dyn CostModel,
-    stats: &'a [PlanStats],
-    present: &'a [u64],
+    table: &'a DenseDpTable,
     variant: DpSubVariant,
     observe: bool,
 }
@@ -324,7 +313,7 @@ fn process_chunk(
                 DpSubVariant::Filtered => {
                     // "connected S1/S2" via table membership, with the
                     // sequential short-circuit probe accounting.
-                    let p1 = is_present(sh.present, s1.bits());
+                    let p1 = sh.table.is_present(s1.bits());
                     if sh.observe {
                         t.probes += 1;
                         t.hits += u64::from(p1);
@@ -332,7 +321,7 @@ fn process_chunk(
                     if !p1 {
                         continue;
                     }
-                    let p2 = is_present(sh.present, s2.bits());
+                    let p2 = sh.table.is_present(s2.bits());
                     if sh.observe {
                         t.probes += 1;
                         t.hits += u64::from(p2);
@@ -346,8 +335,8 @@ fn process_chunk(
                 }
                 DpSubVariant::Unfiltered => {
                     // The ablation probes both operands unconditionally.
-                    let p1 = is_present(sh.present, s1.bits());
-                    let p2 = is_present(sh.present, s2.bits());
+                    let p1 = sh.table.is_present(s1.bits());
+                    let p2 = sh.table.is_present(s2.bits());
                     if sh.observe {
                         t.probes += 2;
                         t.hits += u64::from(p1) + u64::from(p2);
@@ -369,8 +358,8 @@ fn process_chunk(
                 t.probes += 1;
                 t.hits += u64::from(best.is_some());
             }
-            let st1 = sh.stats[s1.bits() as usize];
-            let st2 = sh.stats[s2.bits() as usize];
+            let st1 = sh.table.stats[s1.bits() as usize];
+            let st2 = sh.table.stats[s2.bits() as usize];
             if best.is_none() {
                 // The set's output cardinality, computed (like the
                 // sequential table's first miss) from the first
@@ -503,19 +492,18 @@ pub(crate) fn run_level_synchronous(
     failpoint::check("estimator")?;
     let est = CardinalityEstimator::new(g, catalog)?;
     session.prepare(n);
-    ctl.charge(session.pooled_bytes())?;
-    let mut charged = session.pooled_bytes();
+    let mut charged = session.run_bytes();
+    ctl.charge(charged)?;
 
     // Level 1: singleton plans.
     for i in 0..n {
         let card = est.base_cardinality(i);
-        let id = session.arena.add_scan(i, card);
-        let bits = 1u64 << i;
-        session.stats[bits as usize] = PlanStats::base(card);
-        session.plans[bits as usize] = id;
-        mark_present(&mut session.present, bits);
+        let plan = session.arena.add_scan(i, card);
+        let stats = PlanStats::base(card);
+        session
+            .table
+            .insert(RelSet::single(i), TableEntry { plan, stats });
     }
-    let mut table_entries = n;
     let mut level_new: Vec<u64> = Vec::new();
     if observe {
         level_new = vec![0u64; n + 1];
@@ -560,8 +548,7 @@ pub(crate) fn run_level_synchronous(
                 g,
                 est: &est,
                 model,
-                stats: &session.stats,
-                present: &session.present,
+                table: &session.table,
                 variant,
                 observe,
             };
@@ -655,9 +642,7 @@ pub(crate) fn run_level_synchronous(
         let merge_start = observe.then(clock_now);
         {
             let Session {
-                stats,
-                present,
-                plans,
+                table,
                 arena,
                 outputs,
                 ..
@@ -665,11 +650,10 @@ pub(crate) fn run_level_synchronous(
             for chunk_out in outputs.iter().take(spawned) {
                 for e in chunk_out {
                     let s2 = e.set & !e.s1;
-                    let plan = arena.add_join(plans[e.s1 as usize], plans[s2 as usize], e.stats);
-                    stats[e.set as usize] = e.stats;
-                    plans[e.set as usize] = plan;
-                    mark_present(present, e.set);
-                    table_entries += 1;
+                    let (left, right) = (table.plans[e.s1 as usize], table.plans[s2 as usize]);
+                    let plan = arena.add_join(left, right, e.stats);
+                    let stats = e.stats;
+                    table.insert(RelSet::from_bits(e.set), TableEntry { plan, stats });
                     if observe {
                         level_new[k] += 1;
                     }
@@ -707,11 +691,11 @@ pub(crate) fn run_level_synchronous(
                 idle_ns: spawned as u64 * max_service_ns - total_service_ns,
             });
         }
-        // Charge pooled-buffer growth (arena reallocation, out-buffer
-        // capacity) accumulated during this level.
-        if session.pooled_bytes() > charged {
-            ctl.charge(session.pooled_bytes() - charged)?;
-            charged = session.pooled_bytes();
+        // Charge this level's new plan nodes.
+        let now = session.run_bytes();
+        if now > charged {
+            ctl.charge(now - charged)?;
+            charged = now;
         }
     }
 
@@ -724,10 +708,13 @@ pub(crate) fn run_level_synchronous(
         obs.on_event(Event::PhaseEnd { phase: "enumerate" });
         obs.on_event(Event::PhaseStart { phase: "extract" });
     }
-    let full = g.all_relations();
-    debug_assert!(is_present(&session.present, full.bits()));
-    let entry_stats = session.stats[full.bits() as usize];
-    let tree = session.arena.extract(session.plans[full.bits() as usize]);
+    let Some(entry) = session.table.get(g.all_relations()) else {
+        return Err(OptimizeError::Internal(
+            "engine finished without a plan for the full relation set".into(),
+        ));
+    };
+    let table_entries = session.table.len();
+    let tree = session.arena.extract(entry.plan);
     if observe {
         obs.on_event(Event::PhaseEnd { phase: "extract" });
         for (size, &new_entries) in level_new.iter().enumerate() {
@@ -753,8 +740,8 @@ pub(crate) fn run_level_synchronous(
         obs.on_event(Event::RunEnd);
     }
     Ok(DpResult {
-        cost: entry_stats.cost,
-        cardinality: entry_stats.cardinality,
+        cost: entry.stats.cost,
+        cardinality: entry.stats.cardinality,
         tree,
         counters,
         table_size: table_entries,

@@ -40,6 +40,7 @@ use crate::cancel::{CancelFlag, CancellationToken};
 use crate::degrade::{
     BudgetAction, DegradationInfo, DegradationRung, TripKind, DEGRADE_IDP_BLOCK_SIZE,
 };
+use crate::dpccp::DpCcp;
 use crate::error::OptimizeError;
 use crate::greedy::Goo;
 use crate::idp::Idp;
@@ -62,7 +63,11 @@ use crate::result::{DpResult, JoinOrderer};
 /// sequential algorithms at any thread count (see the module docs of
 /// [`crate::parallel`] for the argument), except for the `plans_built`
 /// statistic: the engine materializes exactly one plan node per DP-table
-/// entry, the sequential driver one per table *improvement*.
+/// entry, the sequential driver one per table *improvement*. DPccp (up
+/// to [`DpCcp::POOLED_MAX_RELATIONS`] relations, no memory budget) and
+/// DPconv run sequentially but keep their dense tables in the
+/// [`Session`]; their results equal the one-shot orderers' in every
+/// field.
 #[must_use = "an OptimizeRequest does nothing until run"]
 pub struct OptimizeRequest<'a> {
     graph: &'a QueryGraph,
@@ -229,6 +234,21 @@ impl<'a> OptimizeRequest<'a> {
                 &ctl,
             )
             .map(|r| (r, threads)),
+            // DPccp keeps `BestPlan` in the session's pooled dense
+            // table while it is small enough to pay off.
+            None if algorithm == Algorithm::DpCcp
+                && DpCcp::pools(self.graph.num_relations(), self.memory_budget) =>
+            {
+                crate::dpccp::run_pooled(
+                    self.graph,
+                    self.catalog,
+                    self.model,
+                    self.observer,
+                    &ctl,
+                    session,
+                )
+                .map(|r| (r, 1))
+            }
             // DPconv pools its dense tables and rank lists in the
             // session, like the level-synchronous engine pools its own.
             None if algorithm == Algorithm::DpConv => crate::dpconv::run_pooled(
@@ -560,6 +580,64 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, OptimizeError::MemoryBudgetExceeded { .. }));
+    }
+
+    #[test]
+    fn memory_budgets_trip_the_same_on_fresh_and_reused_sessions() {
+        // A session keeps the pooled capacity of the largest query it
+        // served. A run is charged only for the storage it addresses, so
+        // a budgeted request gets the same plan or the same typed error
+        // whatever the session served before.
+        let big = workload::family_workload(GraphKind::Clique, 14, 0);
+        let queries = [
+            (GraphKind::Clique, 8),
+            (GraphKind::Star, 10),
+            (GraphKind::Chain, 12),
+            (GraphKind::Cycle, 9),
+        ];
+        let (mut planned, mut tripped) = (0, 0);
+        for alg in [Algorithm::DpSub, Algorithm::DpConv, Algorithm::DpCcp] {
+            let mut reused = Session::new();
+            OptimizeRequest::new(&big.graph, &big.catalog)
+                .with_algorithm(alg)
+                .with_threads(1)
+                .run_in(&mut reused)
+                .unwrap();
+            for (kind, n) in queries {
+                let w = workload::family_workload(kind, n, 1);
+                for budget in [16 << 10, 64 << 10, 256 << 10, 1 << 20] {
+                    let run = |session: &mut Session| {
+                        OptimizeRequest::new(&w.graph, &w.catalog)
+                            .with_algorithm(alg)
+                            .with_threads(1)
+                            .with_memory_budget(budget)
+                            .run_in(session)
+                            .map(|outcome| outcome.result)
+                    };
+                    let ctx = format!("{alg:?} {kind} n={n} budget={budget}");
+                    match (run(&mut Session::new()), run(&mut reused)) {
+                        (Ok(fresh), Ok(again)) => {
+                            assert_eq!(fresh.cost.to_bits(), again.cost.to_bits(), "{ctx}");
+                            assert_eq!(fresh.tree, again.tree, "{ctx}");
+                            planned += 1;
+                        }
+                        (Err(fresh), Err(again)) => {
+                            assert_eq!(fresh, again, "{ctx}");
+                            tripped += 1;
+                        }
+                        (fresh, again) => panic!(
+                            "{ctx}: fresh {:?} but reused {:?}",
+                            fresh.map(|r| r.cost),
+                            again.map(|r| r.cost)
+                        ),
+                    }
+                }
+            }
+        }
+        assert!(
+            planned > 0 && tripped > 0,
+            "{planned} planned, {tripped} tripped"
+        );
     }
 
     #[test]

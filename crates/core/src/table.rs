@@ -67,25 +67,16 @@ pub struct TableEntry {
 
 /// Storage interface for `BestPlan(S)` — implemented by the sparse
 /// hash-based [`DpTable`] (default) and the dense direct-addressed
-/// [`DenseDpTable`] DPsub uses for small `n` (the Vance/Maier original
-/// indexes an array by the subset integer, which is what makes DPsub's
-/// inner loop so cheap on dense search spaces).
+/// [`DenseDpTable`] (the Vance/Maier original indexes an array by the
+/// subset integer, which is what makes DPsub's inner loop so cheap on
+/// dense search spaces). A `&mut` to a table is a table too, so a run
+/// can borrow pooled storage it does not own.
 pub trait PlanTable {
     /// Looks up `BestPlan(s)`.
-    fn get(&self, s: RelSet) -> Option<&TableEntry>;
+    fn get(&self, s: RelSet) -> Option<TableEntry>;
 
     /// Unconditionally registers `entry` as the plan for `s`.
     fn insert(&mut self, s: RelSet, entry: TableEntry);
-
-    /// Registers lazily-built `entry` if `s` has no plan yet or `cost`
-    /// improves on the registered one. Returns `true` iff `s` was
-    /// previously absent.
-    fn insert_if_better(
-        &mut self,
-        s: RelSet,
-        cost: f64,
-        entry: impl FnOnce() -> TableEntry,
-    ) -> bool;
 
     /// `true` iff a plan for `s` is registered.
     fn contains(&self, s: RelSet) -> bool {
@@ -95,13 +86,13 @@ pub trait PlanTable {
     /// Number of sets with a registered plan.
     fn len(&self) -> usize;
 
-    /// Number of entry slots currently allocated (bucket capacity for
-    /// the sparse table, `2ⁿ` slots for the dense one). `len / capacity`
-    /// is the occupancy telemetry reports.
+    /// Number of entry slots the run addresses (bucket capacity for the
+    /// sparse table, `2ⁿ` slots for the dense one). `len / capacity` is
+    /// the occupancy telemetry reports.
     fn capacity(&self) -> usize;
 
-    /// Approximate bytes of storage backing the table (based on
-    /// allocated capacity, not occupancy) — what memory budgets charge.
+    /// Approximate bytes of storage the run addresses — what memory
+    /// budgets charge.
     fn bytes(&self) -> usize {
         self.capacity() * std::mem::size_of::<(RelSet, TableEntry)>()
     }
@@ -109,6 +100,35 @@ pub trait PlanTable {
     /// `true` iff no plan is registered.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<T: PlanTable> PlanTable for &mut T {
+    #[inline]
+    fn get(&self, s: RelSet) -> Option<TableEntry> {
+        (**self).get(s)
+    }
+
+    #[inline]
+    fn insert(&mut self, s: RelSet, entry: TableEntry) {
+        (**self).insert(s, entry);
+    }
+
+    #[inline]
+    fn contains(&self, s: RelSet) -> bool {
+        (**self).contains(s)
+    }
+
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+
+    fn capacity(&self) -> usize {
+        (**self).capacity()
+    }
+
+    fn bytes(&self) -> usize {
+        (**self).bytes()
     }
 }
 
@@ -139,8 +159,8 @@ impl DpTable {
 
 impl PlanTable for DpTable {
     #[inline]
-    fn get(&self, s: RelSet) -> Option<&TableEntry> {
-        self.map.get(&s)
+    fn get(&self, s: RelSet) -> Option<TableEntry> {
+        self.map.get(&s).copied()
     }
 
     /// `true` iff a plan for `s` is registered. Because the algorithms
@@ -157,27 +177,6 @@ impl PlanTable for DpTable {
         self.map.insert(s, entry);
     }
 
-    #[inline]
-    fn insert_if_better(
-        &mut self,
-        s: RelSet,
-        cost: f64,
-        entry: impl FnOnce() -> TableEntry,
-    ) -> bool {
-        match self.map.entry(s) {
-            std::collections::hash_map::Entry::Occupied(mut occ) => {
-                if cost < occ.get().stats.cost {
-                    *occ.get_mut() = entry();
-                }
-                false
-            }
-            std::collections::hash_map::Entry::Vacant(vac) => {
-                vac.insert(entry());
-                true
-            }
-        }
-    }
-
     fn len(&self) -> usize {
         self.map.len()
     }
@@ -192,28 +191,33 @@ impl PlanTable for DpTable {
 /// implementation and what makes DPsub's innermost loop a handful of
 /// instructions on dense search spaces — no hashing, no probing.
 ///
-/// Memory is `Θ(2ⁿ)`, so it is only constructed for small `n`
+/// The slots are split into a statistics array and a plan-id array
+/// (the parallel DPsub engine's workers read only the statistics), and
+/// a presence bitmap says which slots hold a plan. [`DenseDpTable::reset`]
+/// readies the table for another run by clearing only the `2ⁿ/64`
+/// bitmap words that run addresses: a [`crate::Session`] keeps one table
+/// across queries, and stale slots behind a cleared bit are never read.
+///
+/// Memory is `Θ(2ⁿ)`, so it is only used for small `n`
 /// ([`DenseDpTable::MAX_RELATIONS`]); DPsub falls back to the sparse
 /// [`DpTable`] above that size (where DPsub is infeasible anyway).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DenseDpTable {
-    slots: Vec<TableEntry>,
+    /// Best (cardinality, cost) per set, direct-addressed by bits.
+    pub(crate) stats: Vec<PlanStats>,
+    /// Arena id of the best plan per set, direct-addressed by bits.
+    pub(crate) plans: Vec<PlanId>,
+    /// Presence bitmap over `stats`/`plans`.
     present: Vec<u64>,
+    /// `2ⁿ`: the slots the current run addresses.
+    slots: usize,
+    /// Sets registered in the current run.
     len: usize,
 }
 
-/// Sentinel for empty slots (never read while absent).
-const VACANT: TableEntry = TableEntry {
-    plan: PlanId::SENTINEL,
-    stats: PlanStats {
-        cardinality: 0.0,
-        cost: f64::INFINITY,
-    },
-};
-
 impl DenseDpTable {
     /// Largest `n` for which a dense table is reasonable
-    /// (2²² entries ≈ 100 MiB).
+    /// (2²² entries ≈ 80 MiB).
     pub const MAX_RELATIONS: usize = 22;
 
     /// Creates a table for subsets of `n` relations.
@@ -222,75 +226,89 @@ impl DenseDpTable {
     ///
     /// Panics if `n > Self::MAX_RELATIONS`.
     pub fn new(n: usize) -> DenseDpTable {
+        let mut table = DenseDpTable::default();
+        table.reset(n);
+        table
+    }
+
+    /// Bytes a table for `n` relations addresses: `2ⁿ` slots plus the
+    /// presence bitmap.
+    pub fn bytes_for(n: usize) -> usize {
+        Self::slot_bytes(1usize << n)
+    }
+
+    fn slot_bytes(slots: usize) -> usize {
+        slots * (std::mem::size_of::<PlanStats>() + std::mem::size_of::<PlanId>())
+            + slots.div_ceil(64) * std::mem::size_of::<u64>()
+    }
+
+    /// Readies the table for a run over `n` relations: grows the slot
+    /// arrays if needed (never shrinks) and clears the first `2ⁿ/64`
+    /// presence words — the only state a run can observe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > Self::MAX_RELATIONS`.
+    pub fn reset(&mut self, n: usize) {
         assert!(
             n <= Self::MAX_RELATIONS,
             "dense DP table limited to {} relations",
             Self::MAX_RELATIONS
         );
         let size = 1usize << n;
-        DenseDpTable {
-            slots: vec![VACANT; size],
-            present: vec![0u64; size.div_ceil(64)],
-            len: 0,
+        if self.stats.len() < size {
+            self.stats.resize(size, PlanStats::base(0.0));
+            self.plans.resize(size, PlanId::SENTINEL);
         }
+        let words = size.div_ceil(64);
+        if self.present.len() < words {
+            self.present.resize(words, 0);
+        }
+        self.present[..words].fill(0);
+        self.slots = size;
+        self.len = 0;
     }
 
+    /// Bytes the pooled arrays hold, whatever the current run's `n`.
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        self.stats.capacity() * std::mem::size_of::<PlanStats>()
+            + self.plans.capacity() * std::mem::size_of::<PlanId>()
+            + self.present.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// `true` iff the set with bitmask `bits` holds a plan.
     #[inline]
-    fn is_present(&self, idx: usize) -> bool {
+    pub(crate) fn is_present(&self, bits: u64) -> bool {
+        let idx = bits as usize;
         (self.present[idx >> 6] >> (idx & 63)) & 1 == 1
-    }
-
-    #[inline]
-    fn mark_present(&mut self, idx: usize) {
-        self.present[idx >> 6] |= 1u64 << (idx & 63);
     }
 }
 
 impl PlanTable for DenseDpTable {
     #[inline]
-    fn get(&self, s: RelSet) -> Option<&TableEntry> {
+    fn get(&self, s: RelSet) -> Option<TableEntry> {
         let idx = s.bits() as usize;
-        if self.is_present(idx) {
-            Some(&self.slots[idx])
-        } else {
-            None
-        }
+        self.is_present(s.bits()).then(|| TableEntry {
+            plan: self.plans[idx],
+            stats: self.stats[idx],
+        })
     }
 
     #[inline]
     fn contains(&self, s: RelSet) -> bool {
-        self.is_present(s.bits() as usize)
+        self.is_present(s.bits())
     }
 
     #[inline]
     fn insert(&mut self, s: RelSet, entry: TableEntry) {
         let idx = s.bits() as usize;
-        if !self.is_present(idx) {
-            self.mark_present(idx);
+        let (word, bit) = (idx >> 6, 1u64 << (idx & 63));
+        if self.present[word] & bit == 0 {
+            self.present[word] |= bit;
             self.len += 1;
         }
-        self.slots[idx] = entry;
-    }
-
-    #[inline]
-    fn insert_if_better(
-        &mut self,
-        s: RelSet,
-        cost: f64,
-        entry: impl FnOnce() -> TableEntry,
-    ) -> bool {
-        let idx = s.bits() as usize;
-        if self.is_present(idx) {
-            if cost < self.slots[idx].stats.cost {
-                self.slots[idx] = entry();
-            }
-            false
-        } else {
-            self.mark_present(idx);
-            self.len += 1;
-            self.slots[idx] = entry();
-            true
-        }
+        self.stats[idx] = entry.stats;
+        self.plans[idx] = entry.plan;
     }
 
     fn len(&self) -> usize {
@@ -298,12 +316,14 @@ impl PlanTable for DenseDpTable {
     }
 
     fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slots
     }
 
+    /// The `2ⁿ` slots and bitmap words of the current run, not the
+    /// pooled capacity: a run is charged the same on a fresh table as
+    /// on one that served a larger query before.
     fn bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<TableEntry>()
-            + self.present.capacity() * std::mem::size_of::<u64>()
+        Self::slot_bytes(self.slots)
     }
 }
 
@@ -329,48 +349,42 @@ mod tests {
         let mut t = DpTable::new();
         assert!(t.is_empty());
         let s = RelSet::from_indices([0, 1]);
-        assert!(t.insert_if_better(s, 10.0, || entry(10.0)));
+        t.insert(s, entry(10.0));
         assert_eq!(t.len(), 1);
         assert!(t.contains(s));
         assert_eq!(t.get(s).unwrap().stats.cost, 10.0);
     }
 
     #[test]
-    fn better_cost_replaces() {
-        let mut t = DpTable::new();
-        let s = RelSet::single(0);
-        t.insert(s, entry(10.0));
-        assert!(!t.insert_if_better(s, 5.0, || entry(5.0)));
-        assert_eq!(t.get(s).unwrap().stats.cost, 5.0);
+    fn insert_replaces_without_growing_len() {
+        fn check(mut t: impl PlanTable) {
+            let s = RelSet::single(0);
+            t.insert(s, entry(10.0));
+            t.insert(s, entry(5.0));
+            assert_eq!(t.len(), 1);
+            assert_eq!(t.get(s).unwrap().stats.cost, 5.0);
+            assert!(t.get(RelSet::single(1)).is_none());
+        }
+        check(DpTable::new());
+        check(DenseDpTable::new(3));
+        check(&mut DenseDpTable::new(3));
     }
 
     #[test]
-    fn worse_cost_ignored_and_not_materialized() {
-        let mut t = DpTable::new();
-        let s = RelSet::single(0);
-        t.insert(s, entry(10.0));
-        let mut called = false;
-        assert!(!t.insert_if_better(s, 20.0, || {
-            called = true;
-            entry(20.0)
-        }));
-        assert!(!called, "losing candidate must not be materialized");
-        assert_eq!(t.get(s).unwrap().stats.cost, 10.0);
+    fn dense_reset_hides_stale_slots_of_a_larger_run() {
+        let mut t = DenseDpTable::new(8);
+        let wide = RelSet::from_indices([0, 7]);
+        let low = RelSet::from_indices([0, 1]);
+        t.insert(wide, entry(1.0));
+        t.insert(low, entry(2.0));
+        t.reset(3);
+        assert!(t.is_empty());
+        assert_eq!(t.capacity(), 8);
+        assert!(t.get(low).is_none(), "reset clears the addressed bits");
+        t.reset(8);
+        assert!(t.get(wide).is_none(), "and a later larger run sees none");
+        assert!(t.get(low).is_none());
     }
-
-    #[test]
-    fn equal_cost_keeps_first() {
-        let mut t = DpTable::new();
-        let s = RelSet::single(0);
-        t.insert(s, entry(10.0));
-        let mut called = false;
-        t.insert_if_better(s, 10.0, || {
-            called = true;
-            entry(10.0)
-        });
-        assert!(!called, "ties must keep the incumbent (strict <)");
-    }
-
     #[test]
     fn iter_sees_all_entries() {
         let mut t = DpTable::with_capacity(4);
@@ -394,18 +408,21 @@ mod tests {
     }
 
     #[test]
-    fn bytes_track_allocated_capacity() {
+    fn bytes_track_the_addressed_storage() {
         let t = DpTable::with_capacity(16);
         assert!(t.bytes() >= 16 * std::mem::size_of::<(RelSet, TableEntry)>());
         let d = DenseDpTable::new(6);
-        assert_eq!(
-            d.bytes(),
-            64 * std::mem::size_of::<TableEntry>() + std::mem::size_of::<u64>()
-        );
-        // Footprint is a function of capacity, not occupancy.
+        let slot = std::mem::size_of::<PlanStats>() + std::mem::size_of::<PlanId>();
+        assert_eq!(d.bytes(), 64 * slot + std::mem::size_of::<u64>());
+        assert_eq!(d.bytes(), DenseDpTable::bytes_for(6));
+        // Footprint is a function of `n`, not occupancy...
         let mut d2 = DenseDpTable::new(6);
         d2.insert(RelSet::single(0), entry(1.0));
         assert_eq!(d2.bytes(), d.bytes());
+        // ...nor of the pooled capacity an earlier, larger run left.
+        let mut pooled = DenseDpTable::new(12);
+        pooled.reset(6);
+        assert_eq!(pooled.bytes(), d.bytes());
     }
 
     #[test]

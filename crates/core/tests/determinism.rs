@@ -8,11 +8,23 @@
 //! `plans_built` is deliberately excluded: the engine materializes one
 //! node per DP entry, the sequential driver one per improvement (see
 //! `joinopt_core::parallel`).
+//!
+//! DPccp inside a [`Session`] keeps `BestPlan` in the pooled
+//! direct-addressed table the engine also uses; there the contract is
+//! stricter — everything, `plans_built` included, equals the sparse
+//! one-shot [`DpCcp`] run, whatever the session held before.
 
-use joinopt_core::{Algorithm, OptimizeRequest, Session};
-use joinopt_cost::{workload, Cout, HashJoin};
+use std::cell::Cell;
+use std::time::Duration;
+
+use joinopt_core::table::DenseDpTable;
+use joinopt_core::{
+    Algorithm, CancelFlag, DpCcp, DpResult, JoinOrderer, OptimizeError, OptimizeRequest, Session,
+};
+use joinopt_cost::{workload, CostModel, Cout, HashJoin};
 use joinopt_plan::JoinTree;
 use joinopt_qgraph::{GraphKind, QueryGraph};
+use joinopt_telemetry::{Event, Observer};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -213,5 +225,129 @@ fn oversubscribed_thread_counts_stay_bit_identical() {
         assert_eq!(seq.tree, par.tree, "tree {ctx}");
         assert_eq!(seq.counters, par.counters, "counters {ctx}");
         assert_eq!(seq.table_size, par.table_size, "table size {ctx}");
+    }
+}
+
+/// Sets `flag` once the run has evaluated `after` candidate joins, so a
+/// run stops mid-enumeration at a deterministic point.
+struct CancelAfter {
+    flag: CancelFlag,
+    after: u64,
+    seen: Cell<u64>,
+}
+
+impl Observer for CancelAfter {
+    fn wants_provenance(&self) -> bool {
+        true
+    }
+
+    fn on_event(&self, event: Event) {
+        if let Event::PlanCandidate { .. } = event {
+            self.seen.set(self.seen.get() + 1);
+            if self.seen.get() == self.after {
+                self.flag.cancel();
+            }
+        }
+    }
+}
+
+/// `got` equals the sparse one-shot DPccp run in every field.
+fn assert_matches_sparse(got: &DpResult, w: &workload::Workload, model: &dyn CostModel, ctx: &str) {
+    let want = DpCcp.optimize(&w.graph, &w.catalog, model).unwrap();
+    assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "cost {ctx}");
+    assert_eq!(
+        got.cardinality.to_bits(),
+        want.cardinality.to_bits(),
+        "cardinality {ctx}"
+    );
+    assert_eq!(got.tree, want.tree, "tree {ctx}");
+    assert_eq!(got.counters, want.counters, "counters {ctx}");
+    assert_eq!(got.table_size, want.table_size, "table size {ctx}");
+    assert_eq!(got.plans_built, want.plans_built, "plans built {ctx}");
+}
+
+fn pooled_dpccp<'a>(w: &'a workload::Workload, model: &'a dyn CostModel) -> OptimizeRequest<'a> {
+    OptimizeRequest::new(&w.graph, &w.catalog)
+        .with_algorithm(Algorithm::DpCcp)
+        .with_cost_model(model)
+}
+
+/// One DPccp query through `session`, which must serve it on the pooled
+/// table and match the sparse run.
+fn check_pooled(session: &mut Session, model: &dyn CostModel, kind: GraphKind, n: usize) {
+    let w = workload::family_workload(kind, n, n as u64);
+    let runs = session.runs();
+    let got = pooled_dpccp(&w, model).run_in(session).unwrap().result;
+    let ctx = format!("{} {kind} n={n}", model.name());
+    assert_eq!(session.runs(), runs + 1, "{ctx} ran on the pooled table");
+    assert_matches_sparse(&got, &w, model, &ctx);
+}
+
+#[test]
+fn pooled_dpccp_never_sees_stale_state() {
+    let sequence = [
+        (GraphKind::Star, 16),
+        (GraphKind::Chain, 6),
+        (GraphKind::Cycle, 12),
+        (GraphKind::Star, 14),
+    ];
+    let models: [&dyn CostModel; 2] = [&Cout, &HashJoin];
+    for model in models {
+        let mut session = Session::new();
+        for (kind, n) in sequence {
+            check_pooled(&mut session, model, kind, n);
+        }
+
+        // Cancelled mid-enumeration: the table is left half-written.
+        let w = workload::family_workload(GraphKind::Star, 16, 4);
+        let flag = CancelFlag::new();
+        let obs = CancelAfter {
+            flag: flag.clone(),
+            after: 5_000,
+            seen: Cell::new(0),
+        };
+        let err = pooled_dpccp(&w, model)
+            .with_cancel_flag(flag)
+            .with_observer(&obs)
+            .run_in(&mut session)
+            .unwrap_err();
+        assert_eq!(err, OptimizeError::Cancelled);
+        for (kind, n) in sequence.iter().rev() {
+            check_pooled(&mut session, model, *kind, *n);
+        }
+
+        // A zero time budget trips before the first pair, a short one
+        // (if the machine is slow enough) somewhere inside the run.
+        for budget in [Duration::ZERO, Duration::from_millis(1)] {
+            let w = workload::family_workload(GraphKind::Star, 16, 6);
+            match pooled_dpccp(&w, model)
+                .with_time_budget(budget)
+                .run_in(&mut session)
+            {
+                Err(OptimizeError::TimeBudgetExceeded { .. }) => {}
+                Ok(outcome) => assert_matches_sparse(&outcome.result, &w, model, "1 ms budget"),
+                Err(e) => panic!("unexpected {e}"),
+            }
+            check_pooled(&mut session, model, GraphKind::Cycle, 12);
+        }
+
+        // A memory trip mid-level in the DPsub engine, which shares the
+        // pooled table: the budget covers the slots, not every level's
+        // plan nodes.
+        let w = workload::family_workload(GraphKind::Clique, 12, 8);
+        let err = OptimizeRequest::new(&w.graph, &w.catalog)
+            .with_algorithm(Algorithm::DpSub)
+            .with_cost_model(model)
+            .with_threads(1)
+            .with_memory_budget(DenseDpTable::bytes_for(12) + 8 * 1024)
+            .run_in(&mut session)
+            .unwrap_err();
+        assert!(
+            matches!(err, OptimizeError::MemoryBudgetExceeded { .. }),
+            "{err}"
+        );
+        for (kind, n) in sequence {
+            check_pooled(&mut session, model, kind, n);
+        }
     }
 }

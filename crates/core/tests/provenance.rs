@@ -4,9 +4,10 @@
 //! decisions the optimizer made.
 
 use std::cell::Cell;
+use std::sync::Mutex;
 
 use joinopt_core::parallel::engine_provenance_candidates;
-use joinopt_core::{Algorithm, OptimizeRequest};
+use joinopt_core::{Algorithm, DpCcp, JoinOrderer, OptimizeRequest, Session};
 use joinopt_cost::{workload, Cout};
 use joinopt_plan::JoinTree;
 use joinopt_qgraph::GraphKind;
@@ -115,8 +116,14 @@ fn collector_reconstructs_every_decision_the_winning_plan_made() {
     }
 }
 
+/// Serializes the tests that observe [`engine_provenance_candidates`]
+/// — the counter is process-global, so a concurrent provenance run
+/// would make a zero-delta assertion flaky.
+static ENGINE_CANDIDATES: Mutex<()> = Mutex::new(());
+
 #[test]
 fn engine_buffers_candidates_only_on_request_and_replays_them_exactly() {
+    let _serial = ENGINE_CANDIDATES.lock().unwrap_or_else(|p| p.into_inner());
     let w = workload::family_workload(GraphKind::Star, 12, 0);
     let run = |obs: &dyn Observer| {
         OptimizeRequest::new(&w.graph, &w.catalog)
@@ -184,4 +191,39 @@ fn engine_buffers_candidates_only_on_request_and_replays_them_exactly() {
         .into_result();
     assert_eq!(single.tree, traced.tree);
     assert_eq!(prov1.records(), prov.records());
+}
+
+#[test]
+fn pooled_dpccp_buffers_nothing_and_streams_the_sparse_decisions() {
+    let _serial = ENGINE_CANDIDATES.lock().unwrap_or_else(|p| p.into_inner());
+    let w = workload::family_workload(GraphKind::Star, 12, 0);
+    let mut session = Session::new();
+    let mut run = |obs: &dyn Observer| {
+        OptimizeRequest::new(&w.graph, &w.catalog)
+            .with_algorithm(Algorithm::DpCcp)
+            .with_observer(obs)
+            .run_in(&mut session)
+            .unwrap()
+            .into_result()
+    };
+    let before = engine_provenance_candidates();
+    run(&NoopObserver);
+    run(&MetricsCollector::new());
+    let pooled = ProvenanceCollector::new();
+    let traced = run(&pooled);
+    assert_eq!(
+        engine_provenance_candidates() - before,
+        0,
+        "pooled DPccp buffered provenance candidates"
+    );
+    assert_eq!(session.runs(), 3, "every run used the pooled table");
+
+    // The pooled run emits the sparse run's decision stream exactly.
+    let sparse = ProvenanceCollector::new();
+    let reference = DpCcp
+        .optimize_observed(&w.graph, &w.catalog, &Cout, &sparse)
+        .unwrap();
+    assert_eq!(pooled.records(), sparse.records());
+    assert_eq!(pooled.total_candidates(), sparse.total_candidates());
+    assert_eq!(traced.tree, reference.tree);
 }

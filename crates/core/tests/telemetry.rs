@@ -365,7 +365,7 @@ fn trace_writer_round_trips_on_real_run() {
 use std::sync::Mutex;
 
 use joinopt_core::parallel::engine_clock_reads;
-use joinopt_core::OptimizeRequest;
+use joinopt_core::{OptimizeRequest, Session};
 
 /// Serializes the tests that observe [`engine_clock_reads`] — the
 /// counter is process-global, so a concurrently running *observed*
@@ -410,6 +410,41 @@ fn unobserved_engine_reads_no_clocks_and_stays_bit_identical() {
     assert_eq!(plain.counters, observed.counters);
     assert_eq!(plain.tree, observed.tree);
     assert_eq!(plain.table_size, observed.table_size);
+}
+
+#[test]
+fn unobserved_pooled_dpccp_reads_no_clocks_and_matches_the_sparse_run() {
+    let _serial = ENGINE_CLOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let w = workload::family_workload(GraphKind::Star, 12, 0);
+    let mut session = Session::new();
+    let mut run = |obs: &dyn Observer| {
+        OptimizeRequest::new(&w.graph, &w.catalog)
+            .with_algorithm(Algorithm::DpCcp)
+            .with_observer(obs)
+            .run_in(&mut session)
+            .unwrap()
+            .into_result()
+    };
+    let metrics = MetricsCollector::new();
+    let observed = run(&metrics);
+    let before = engine_clock_reads();
+    let plain = run(&NoopObserver);
+    assert_eq!(
+        engine_clock_reads() - before,
+        0,
+        "unobserved pooled DPccp run read the profiling clock"
+    );
+    assert_eq!(session.runs(), 2, "both runs used the pooled table");
+    let sparse = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
+    for r in [&plain, &observed] {
+        assert_eq!(r.cost.to_bits(), sparse.cost.to_bits());
+        assert_eq!(r.tree, sparse.tree);
+        assert_eq!(r.counters, sparse.counters);
+        assert_eq!(
+            (r.table_size, r.plans_built),
+            (sparse.table_size, sparse.plans_built)
+        );
+    }
 }
 
 /// (level, worker, thread_id, sets, service_ns, inner, pairs)

@@ -80,6 +80,13 @@ impl PlanArena {
         self.nodes.capacity() * std::mem::size_of::<Node>()
     }
 
+    /// Bytes of the occupied nodes only. A pooled arena keeps the
+    /// capacity of earlier, larger runs, so this — not [`Self::bytes`] —
+    /// is what the current run's nodes take.
+    pub fn used_bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<Node>()
+    }
+
     /// Drops every node while keeping the allocation, so a pooled arena
     /// (an optimizer session reused across queries) pays the node
     /// storage only once. Previously issued [`PlanId`]s are invalidated.
@@ -178,6 +185,17 @@ mod tests {
         assert_eq!(a.set(id), RelSet::single(3));
         assert_eq!(a.stats(id).cardinality, 123.0);
         assert_eq!(a.stats(id).cost, 0.0);
+    }
+
+    #[test]
+    fn used_bytes_follow_nodes_not_pooled_capacity() {
+        let mut a = PlanArena::with_capacity(64);
+        a.add_scan(0, 1.0);
+        let one = a.used_bytes();
+        assert!(one > 0 && a.bytes() == 64 * one);
+        a.clear();
+        assert_eq!(a.used_bytes(), 0);
+        assert_eq!(a.bytes(), 64 * one, "clear keeps the allocation");
     }
 
     #[test]
