@@ -95,6 +95,13 @@ RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
     cargo run --offline -q -p joinopt-cli --bin joinopt -- \
     load --chaos --requests 200 --seed 7
 
+echo "==> chaos gate test: the bench crate's end-to-end chaos run (--cfg failpoints)"
+# The library-level twin of the gate above (its own test process, since
+# it arms the process-global failpoint registry): runs the chaos
+# scenario on a smaller stream and checks its report and JSON form.
+RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
+    cargo test -p joinopt-bench --test chaos --offline -q
+
 echo "==> injected tie-break inversion is caught and minimized (--cfg failpoints)"
 # The test also requires the inverted tie-break to produce a rendered
 # explained diff naming the first divergent DP decision. --lib runs the

@@ -39,7 +39,7 @@ use joinopt_service::{
     BreakerConfig, BreakerState, CacheConfig, Gateway, GatewayConfig, GatewayStats,
     OptimizerService, Priority, QuerySpec, ServiceConfig, ServiceRequest, ShedConfig,
 };
-use joinopt_telemetry::json::{write_escaped, write_f64, JsonValue};
+use joinopt_telemetry::json::{write_escaped, write_f64};
 use joinopt_telemetry::{Fanout, Histogram, NoopObserver, Observer, RequestTrace, TraceSink};
 
 /// The families the load mix draws from (the paper's structural
@@ -95,7 +95,7 @@ pub struct ErrorBreakdown {
     pub panic: usize,
     /// Rejected by an open circuit breaker.
     pub breaker_open: usize,
-    /// Everything else (parse, admission, internal).
+    /// Everything else (parse, internal).
     pub other: usize,
 }
 
@@ -132,23 +132,6 @@ impl ErrorBreakdown {
              \"breaker_open\": {}, \"other\": {}}}",
             self.timeout, self.memory, self.shed, self.panic, self.breaker_open, self.other
         )
-    }
-
-    fn from_json(v: Option<&JsonValue>) -> ErrorBreakdown {
-        let field = |k: &str| {
-            v.and_then(|o| o.get(k))
-                .and_then(|f| f.as_u64())
-                .and_then(|n| usize::try_from(n).ok())
-                .unwrap_or(0)
-        };
-        ErrorBreakdown {
-            timeout: field("timeout"),
-            memory: field("memory"),
-            shed: field("shed"),
-            panic: field("panic"),
-            breaker_open: field("breaker_open"),
-            other: field("other"),
-        }
     }
 }
 
@@ -241,13 +224,12 @@ pub fn run_load(config: &LoadConfig, obs: &(dyn Observer + Sync)) -> LoadReport 
     // optimizer, so the gateway must never shed its own stream.
     let drivers = config.threads.max(1);
     let gateway = Gateway::new(
-        stream_service(config, stream.len()),
+        stream_service(config),
         GatewayConfig {
             shed: ShedConfig {
                 low_watermark: drivers + stream.len(),
                 high_watermark: drivers + stream.len(),
                 max_in_flight: drivers + stream.len(),
-                ..ShedConfig::default()
             },
             seed: config.seed,
             ..GatewayConfig::default()
@@ -358,71 +340,6 @@ impl LoadReport {
         }
         out
     }
-
-    /// Reads a report back from its [`LoadReport::to_json`] form; any
-    /// schema other than [`SCHEMA`] is rejected.
-    pub fn parse(text: &str) -> Result<LoadReport, String> {
-        let v = JsonValue::parse(text).map_err(|e| format!("bad load report JSON: {e:?}"))?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or("load report missing schema")?;
-        if schema != SCHEMA {
-            return Err(format!(
-                "unknown load report schema {schema:?} (expected {SCHEMA:?})"
-            ));
-        }
-        let uint = |obj: Option<&JsonValue>, k: &str| -> Result<u64, String> {
-            obj.and_then(|o| o.get(k))
-                .and_then(|f| f.as_u64())
-                .ok_or_else(|| format!("load report missing {k:?}"))
-        };
-        let float = |obj: Option<&JsonValue>, k: &str| -> Result<f64, String> {
-            obj.and_then(|o| o.get(k))
-                .and_then(|f| f.as_f64())
-                .ok_or_else(|| format!("load report missing {k:?}"))
-        };
-        let cfg = v.get("config");
-        let config = LoadConfig {
-            requests: uint(cfg, "requests")? as usize,
-            threads: uint(cfg, "threads")? as usize,
-            seed: uint(cfg, "seed")?,
-            repeat_rate: float(cfg, "repeat_rate")?,
-            max_n: uint(cfg, "max_n")? as usize,
-            cache_bytes: uint(cfg, "cache_bytes")? as usize,
-        };
-        let stages = v
-            .get("stages")
-            .and_then(JsonValue::as_array)
-            .map(|entries| {
-                entries
-                    .iter()
-                    .filter_map(|e| {
-                        Some(StageLatency {
-                            stage: e.get("stage")?.as_str()?.to_string(),
-                            count: e.get("count")?.as_u64()?,
-                            p50_ns: e.get("p50_ns")?.as_u64()?,
-                            p99_ns: e.get("p99_ns")?.as_u64()?,
-                        })
-                    })
-                    .collect()
-            })
-            .ok_or("load report missing \"stages\"")?;
-        let top = Some(&v);
-        Ok(LoadReport {
-            config,
-            completed: uint(top, "completed")? as usize,
-            errors: uint(top, "errors")? as usize,
-            errors_by_type: ErrorBreakdown::from_json(v.get("errors_by_type")),
-            hits: uint(top, "hits")? as usize,
-            hit_rate: float(top, "hit_rate")?,
-            wall_ns: uint(top, "wall_ns")?,
-            rps: float(top, "rps")?,
-            p50_ns: uint(top, "p50_ns")?,
-            p99_ns: uint(top, "p99_ns")?,
-            stages,
-        })
-    }
 }
 
 /// Renders the per-type error table shared by the plain and chaos
@@ -453,31 +370,16 @@ fn render_breakdown(b: &ErrorBreakdown) -> String {
 // Chaos mode
 // ---------------------------------------------------------------------------
 
-/// Configuration of a `load --chaos` run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosConfig {
-    /// The underlying stream mix (requests, seed, repeat rate, sizes).
-    pub load: LoadConfig,
-    /// Concurrent client driver threads.
-    pub drivers: usize,
-    /// `serve-worker-panic` triggers armed at the start of the burst
-    /// third (each failing request consumes one per attempt).
-    pub burst_faults: usize,
-    /// Answered requests to differentially re-check against a fresh
-    /// sequential cold run.
-    pub recheck_samples: usize,
-}
+/// Concurrent client driver threads of a chaos run.
+pub const CHAOS_DRIVERS: usize = 4;
 
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            load: LoadConfig::default(),
-            drivers: 4,
-            burst_faults: 30,
-            recheck_samples: 16,
-        }
-    }
-}
+/// `serve-worker-panic` triggers armed at the start of the burst third
+/// (each failing request consumes one per attempt).
+pub const BURST_FAULTS: usize = 30;
+
+/// Answered requests the chaos run differentially re-checks against a
+/// fresh sequential cold run.
+pub const RECHECK_SAMPLES: usize = 16;
 
 /// Outcome counters of one chaos phase (warmup / burst / recovery).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -501,8 +403,8 @@ pub struct PhaseStats {
 /// Results of one chaos run; [`ChaosReport::verify`] applies the gates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosReport {
-    /// The configuration that produced the run.
-    pub config: ChaosConfig,
+    /// The stream configuration that produced the run.
+    pub config: LoadConfig,
     /// The fault-free first third.
     pub warmup: PhaseStats,
     /// The middle third, run with the panic burst armed.
@@ -540,10 +442,11 @@ fn clear_faults() {
     joinopt_core::failpoint::clear("serve-worker-panic");
 }
 
-/// Runs the chaos scenario. Requires a `--cfg failpoints` build (the
-/// burst has nothing to inject otherwise, so the run refuses to
-/// pretend).
-pub fn run_chaos(config: &ChaosConfig, obs: &(dyn Observer + Sync)) -> Result<ChaosReport, String> {
+/// Runs the chaos scenario over `config`'s stream mix (its `threads`
+/// is ignored: [`CHAOS_DRIVERS`] client threads drive the gateway).
+/// Requires a `--cfg failpoints` build (the burst has nothing to inject
+/// otherwise, so the run refuses to pretend).
+pub fn run_chaos(config: &LoadConfig, obs: &(dyn Observer + Sync)) -> Result<ChaosReport, String> {
     if !cfg!(failpoints) {
         return Err(
             "chaos mode needs fault injection: rebuild with RUSTFLAGS=\"--cfg failpoints\""
@@ -552,8 +455,8 @@ pub fn run_chaos(config: &ChaosConfig, obs: &(dyn Observer + Sync)) -> Result<Ch
     }
     // Mixed priorities over the seeded stream: ~10% low (sheds first
     // under the tightened watermark below), ~10% high.
-    let mut stream = build_stream(&config.load);
-    let mut rng = XorShift64::seed_from_u64(config.load.seed ^ 0x4368_616f_7321); // "Chaos!"
+    let mut stream = build_stream(config);
+    let mut rng = XorShift64::seed_from_u64(config.seed ^ 0x4368_616f_7321); // "Chaos!"
     for req in &mut stream {
         let r = rng.next_f64();
         let priority = if r < 0.1 {
@@ -567,7 +470,7 @@ pub fn run_chaos(config: &ChaosConfig, obs: &(dyn Observer + Sync)) -> Result<Ch
     }
 
     let gateway = Gateway::new(
-        stream_service(&config.load, stream.len()),
+        stream_service(config),
         GatewayConfig {
             shed: ShedConfig {
                 low_watermark: 3,
@@ -576,9 +479,8 @@ pub fn run_chaos(config: &ChaosConfig, obs: &(dyn Observer + Sync)) -> Result<Ch
             breaker: BreakerConfig {
                 failure_threshold: 3,
                 cooldown: Duration::from_millis(100),
-                success_threshold: 1,
             },
-            seed: config.load.seed,
+            seed: config.seed,
             ..GatewayConfig::default()
         },
     );
@@ -587,9 +489,9 @@ pub fn run_chaos(config: &ChaosConfig, obs: &(dyn Observer + Sync)) -> Result<Ch
     let (warm_reqs, rest) = stream.split_at(third);
     let (burst_reqs, recovery_reqs) = rest.split_at(third);
 
-    let warmup = run_phase(&gateway, warm_reqs, 0, config.drivers, obs);
-    arm_panic_burst(config.burst_faults);
-    let burst = run_phase(&gateway, burst_reqs, third, config.drivers, obs);
+    let warmup = run_phase(&gateway, warm_reqs, 0, CHAOS_DRIVERS, obs);
+    arm_panic_burst(BURST_FAULTS);
+    let burst = run_phase(&gateway, burst_reqs, third, CHAOS_DRIVERS, obs);
     clear_faults();
 
     // Let the tenant's breaker reclose before judging recovery: probe
@@ -608,13 +510,12 @@ pub fn run_chaos(config: &ChaosConfig, obs: &(dyn Observer + Sync)) -> Result<Ch
         }
     }
 
-    let recovery = run_phase(&gateway, recovery_reqs, 2 * third, config.drivers, obs);
+    let recovery = run_phase(&gateway, recovery_reqs, 2 * third, CHAOS_DRIVERS, obs);
 
     let (rechecked, wrong_plans) = recheck(
         &stream,
         &[&warmup.1[..], &burst.1[..], &recovery.1[..]].concat(),
-        config.recheck_samples,
-        config.load.seed,
+        config.seed,
     );
 
     gateway.begin_drain();
@@ -634,13 +535,11 @@ pub fn run_chaos(config: &ChaosConfig, obs: &(dyn Observer + Sync)) -> Result<Ch
     })
 }
 
-/// The single-worker, cache-backed service a load or chaos stream of
-/// `requests` runs against.
-fn stream_service(config: &LoadConfig, requests: usize) -> OptimizerService {
+/// The single-worker, cache-backed service a load or chaos stream runs
+/// against.
+fn stream_service(config: &LoadConfig) -> OptimizerService {
     OptimizerService::new(ServiceConfig {
         worker_threads: 1,
-        queue_capacity: requests.max(1),
-        tenant_limit: requests.max(1),
         cache: Some(CacheConfig {
             byte_budget: config.cache_bytes,
             ..CacheConfig::default()
@@ -741,28 +640,22 @@ fn run_phase(
     (stats, answered, stages)
 }
 
-/// Differential exactness check: re-runs a seeded sample of answered
-/// requests on a fresh, cache-less, sequential service and compares
-/// cost bits. Returns `(rechecked, wrong)`.
-fn recheck(
-    stream: &[ServiceRequest],
-    answered: &[(usize, u64)],
-    samples: usize,
-    seed: u64,
-) -> (usize, usize) {
+/// Differential exactness check: re-runs a seeded sample of
+/// [`RECHECK_SAMPLES`] answered requests on a fresh, cache-less,
+/// sequential service and compares cost bits. Returns
+/// `(rechecked, wrong)`.
+fn recheck(stream: &[ServiceRequest], answered: &[(usize, u64)], seed: u64) -> (usize, usize) {
     if answered.is_empty() {
         return (0, 0);
     }
     let fresh = OptimizerService::new(ServiceConfig {
         worker_threads: 1,
-        queue_capacity: 1,
-        tenant_limit: samples.max(1),
         cache: None,
     });
     let mut rng = XorShift64::seed_from_u64(seed ^ 0x5265_6368_6563_6b21); // "Recheck!"
     let mut session = None;
     let mut wrong = 0usize;
-    let count = samples.min(answered.len());
+    let count = RECHECK_SAMPLES.min(answered.len());
     for _ in 0..count {
         let (idx, bits) = answered[rng.gen_range(0..answered.len())];
         let req = ServiceRequest::new(stream[idx].spec.clone());
@@ -862,11 +755,7 @@ impl ChaosReport {
         s.push_str(&format!(
             ",\n  \"config\": {{\"requests\": {}, \"drivers\": {}, \"seed\": {}, \
              \"burst_faults\": {}, \"recheck_samples\": {}}}",
-            self.config.load.requests,
-            self.config.drivers,
-            self.config.load.seed,
-            self.config.burst_faults,
-            self.config.recheck_samples
+            self.config.requests, CHAOS_DRIVERS, self.config.seed, BURST_FAULTS, RECHECK_SAMPLES
         ));
         s.push_str(&format!(
             ",\n  \"chaos\": {{\n    \"warmup\": {},\n    \"burst\": {},\n    \"recovery\": {},\n    \
@@ -941,6 +830,7 @@ impl ChaosReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use joinopt_telemetry::json::JsonValue;
 
     fn small_config() -> LoadConfig {
         LoadConfig {
@@ -1015,23 +905,6 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("hit_rate"));
         assert!(rendered.contains("breaker-open"));
-    }
-
-    #[test]
-    fn report_round_trips_through_parse() {
-        let report = run_load(&small_config(), &NoopObserver);
-        let json = report.to_json();
-        let back = LoadReport::parse(&json).unwrap();
-        assert_eq!(back, report);
-        // Retired and unknown schemas are refused by name, even when
-        // the body is otherwise a complete report.
-        for schema in ["joinopt-load-v99", "joinopt-load-v1", "joinopt-load-v2"] {
-            let err = LoadReport::parse(&json.replace(SCHEMA, schema)).unwrap_err();
-            assert!(
-                err.contains("unknown load report schema"),
-                "{schema}: {err}"
-            );
-        }
     }
 
     #[test]

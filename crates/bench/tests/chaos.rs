@@ -8,30 +8,26 @@
 //! Only meaningful under `--cfg failpoints`; the plain-cfg variant
 //! checks that chaos mode refuses to run without fault injection.
 
-use joinopt_bench::load::{run_chaos, ChaosConfig};
+use joinopt_bench::load::{run_chaos, LoadConfig};
 use joinopt_telemetry::NoopObserver;
 
 #[cfg(not(failpoints))]
 #[test]
 fn chaos_refuses_without_failpoints_build() {
-    let err = run_chaos(&ChaosConfig::default(), &NoopObserver).unwrap_err();
+    let err = run_chaos(&LoadConfig::default(), &NoopObserver).unwrap_err();
     assert!(err.contains("failpoints"), "{err}");
 }
 
 #[cfg(failpoints)]
 #[test]
 fn chaos_run_passes_its_gates() {
-    use joinopt_bench::load::LoadConfig;
     use joinopt_telemetry::json::JsonValue;
 
     let report = run_chaos(
-        &ChaosConfig {
-            load: LoadConfig {
-                requests: 120,
-                max_n: 7,
-                ..LoadConfig::default()
-            },
-            ..ChaosConfig::default()
+        &LoadConfig {
+            requests: 120,
+            max_n: 7,
+            ..LoadConfig::default()
         },
         &NoopObserver,
     )

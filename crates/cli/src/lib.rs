@@ -20,18 +20,16 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
-use joinopt_bench::load::{run_chaos, run_load, ChaosConfig, LoadConfig};
+use joinopt_bench::load::{run_chaos, run_load, LoadConfig};
 use joinopt_bench::perf::{run_matrix, PerfBaseline, PerfConfig};
 use joinopt_core::explain::{compare, Explanation};
 use joinopt_core::formulas::{dpccp_inner, dpsize_inner, dpsub_inner};
 use joinopt_core::greedy::Goo;
 use joinopt_core::{Algorithm, DpCcp, DpConv, DpHyp, DpSize, DpSub, JoinOrderer};
-use joinopt_cost::{
-    workload, CostModel, Cout, HashJoin, MinOverPhysical, NestedLoopJoin, SortMergeJoin,
-};
+use joinopt_cost::{workload, CostModel, Cout};
 use joinopt_qgraph::formulas::{ccp_distinct, csg_count};
 use joinopt_qgraph::GraphKind;
-use joinopt_query::{parse, parse_sql, write as write_query, ParsedQuery};
+use joinopt_query::{looks_like_sql, parse, parse_sql, write as write_query, ParsedQuery};
 use joinopt_service::server::{
     smoke, span_timeline_demo, LineClient, Listen, Server, ServerConfig,
 };
@@ -139,8 +137,8 @@ USAGE:
   joinopt load     [--requests N] [--threads N] [--seed S]
                    [--repeat-rate F] [--max-n N] [--cache-bytes BYTES]
                    [--json PATH] [--min-hit-rate F] [--prom PATH]
-  joinopt load     --chaos [--requests N] [--seed S] [--drivers N]
-                   [--burst-faults N] [--recheck N] [--json PATH]
+  joinopt load     --chaos [--requests N] [--seed S] [--repeat-rate F]
+                   [--max-n N] [--cache-bytes BYTES] [--json PATH]
                    [--prom PATH]
   joinopt serve    [--addr HOST:PORT | --unix PATH] [--prom PATH]
                    [--drain-timeout-ms N] [--no-trace]
@@ -217,12 +215,13 @@ LOAD:        load replays a seeded mixed chain/star/clique request
              report with --json, and with --min-hit-rate fails unless
              the run was error-free and the hit rate met the floor (the
              CI smoke gate). --chaos replays the stream through the server
-             gateway with a seeded worker-panic burst mid-run (needs a
-             --cfg failpoints build): warmup must be clean, the burst
-             must open the per-tenant circuit breaker, recovery must
-             restore the hit rate and p99, a sampled differential
-             re-check against a sequential cold run must find zero
-             wrong plans, and the final drain must complete. Exit is
+             gateway from 4 client threads with a burst of 30 injected
+             worker panics mid-run (needs a --cfg failpoints build):
+             warmup must be clean, the burst must open the per-tenant
+             circuit breaker, recovery must restore the hit rate and
+             p99, a differential re-check of 16 sampled answers against
+             a sequential cold run must find zero wrong plans, and the
+             final drain must complete. Exit is
              nonzero on any gate violation. See docs/service.md.
 SERVE:       serve runs the optimizer as a long-lived server speaking
              newline-delimited JSON over TCP (--addr, default
@@ -289,17 +288,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             Ok(())
         }
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
-    }
-}
-
-fn parse_cost_model(name: &str) -> Result<Box<dyn CostModel>, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "cout" => Ok(Box::new(Cout)),
-        "nlj" => Ok(Box::new(NestedLoopJoin)),
-        "hash" => Ok(Box::new(HashJoin)),
-        "smj" => Ok(Box::new(SortMergeJoin)),
-        "min" => Ok(Box::new(MinOverPhysical)),
-        other => Err(CliError::Usage(format!("unknown cost model `{other}`"))),
     }
 }
 
@@ -466,14 +454,7 @@ fn options_only<'a>(
 
 fn load_query(path: &str) -> Result<ParsedQuery, CliError> {
     let text = std::fs::read_to_string(path)?;
-    // Dispatch on content: conjunctive SQL vs the native DSL. SQL files
-    // may lead with `--` comments; DSL files with `#` comments.
-    let looks_like_sql = text
-        .lines()
-        .map(str::trim_start)
-        .find(|l| !l.is_empty() && !l.starts_with("--"))
-        .is_some_and(|l| l.get(..6).is_some_and(|p| p.eq_ignore_ascii_case("select")));
-    if looks_like_sql {
+    if looks_like_sql(&text) {
         Ok(parse_sql(&text)?)
     } else {
         Ok(parse(&text)?)
@@ -495,7 +476,6 @@ fn parse_bytes(value: &str) -> Option<usize> {
 fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (positional, options) = split_options(args)?;
     let mut algorithm = Algorithm::Auto;
-    let mut model: Box<dyn CostModel> = Box::new(Cout);
     let mut model_id = CostModelId::Cout;
     let mut metrics = false;
     let mut trace_path = None;
@@ -511,7 +491,6 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                     .ok_or_else(|| CliError::Usage(format!("unknown algorithm `{value}`")))?;
             }
             "cost-model" => {
-                model = parse_cost_model(value)?;
                 model_id = CostModelId::parse(value)
                     .ok_or_else(|| CliError::Usage(format!("unknown cost model `{value}`")))?;
             }
@@ -558,6 +537,7 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [path] = positional.as_slice() else {
         return Err(CliError::Usage("optimize expects one query file".into()));
     };
+    let model = model_id.model();
     let telemetry = Telemetry::new(metrics, trace_path, prom_path)?;
 
     let q = load_query(path)?;
@@ -566,7 +546,7 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let outcome = telemetry.observe(|obs| {
                 let mut request = joinopt_core::OptimizeRequest::new(graph, &q.catalog)
                     .with_algorithm(algorithm)
-                    .with_cost_model(model.as_ref())
+                    .with_cost_model(model)
                     .with_threads(threads.unwrap_or(0))
                     .with_observer(obs);
                 if let Some(bytes) = memory_budget {
@@ -601,9 +581,8 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 ));
             }
             let start = Instant::now();
-            let result = telemetry.observe(|obs| {
-                DpHyp.optimize_observed(&q.hypergraph, &q.catalog, model.as_ref(), obs)
-            })?;
+            let result = telemetry
+                .observe(|obs| DpHyp.optimize_observed(&q.hypergraph, &q.catalog, model, obs))?;
             (DpHyp.name(), result, 1, start.elapsed(), None)
         }
     };
@@ -679,8 +658,6 @@ fn cmd_optimize_batch(
     }
     let service = OptimizerService::new(ServiceConfig {
         worker_threads: threads,
-        queue_capacity: requests.len(),
-        tenant_limit: requests.len(),
         cache: Some(CacheConfig::default()),
     });
     let telemetry = Telemetry::new(false, trace_path, prom_path)?;
@@ -725,13 +702,17 @@ fn cmd_compare(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let [path] = positional.as_slice() else {
         return Err(CliError::Usage("compare expects one query file".into()));
     };
-    let mut model: Box<dyn CostModel> = Box::new(Cout);
+    let mut model: &dyn CostModel = &Cout;
     let mut metrics = false;
     let mut trace_path = None;
     let mut prom_path = None;
     for (key, value) in options {
         match key {
-            "cost-model" => model = parse_cost_model(value)?,
+            "cost-model" => {
+                model = CostModelId::parse(value)
+                    .ok_or_else(|| CliError::Usage(format!("unknown cost model `{value}`")))?
+                    .model();
+            }
             "metrics" => metrics = true,
             "trace-json" => trace_path = Some(value),
             "prom" => prom_path = Some(value),
@@ -777,16 +758,15 @@ fn cmd_compare(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             for alg in algorithms {
                 let start = Instant::now();
                 let result = telemetry
-                    .observe(|obs| alg.optimize_observed(graph, &q.catalog, model.as_ref(), obs))?;
+                    .observe(|obs| alg.optimize_observed(graph, &q.catalog, model, obs))?;
                 print_row(out, alg.name(), start.elapsed(), &result)?;
                 reports.extend(telemetry.report());
             }
         }
         None => {
             let start = Instant::now();
-            let result = telemetry.observe(|obs| {
-                DpHyp.optimize_observed(&q.hypergraph, &q.catalog, model.as_ref(), obs)
-            })?;
+            let result = telemetry
+                .observe(|obs| DpHyp.optimize_observed(&q.hypergraph, &q.catalog, model, obs))?;
             print_row(out, DpHyp.name(), start.elapsed(), &result)?;
             reports.extend(telemetry.report());
         }
@@ -814,7 +794,7 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::Usage("explain expects one query file".into()));
     };
     let mut algorithm = Algorithm::Auto;
-    let mut model: Box<dyn CostModel> = Box::new(Cout);
+    let mut model: &dyn CostModel = &Cout;
     let mut threads: usize = 1;
     let mut format = "text";
     let mut compare_pair: Option<(Algorithm, Algorithm)> = None;
@@ -824,7 +804,11 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 algorithm = Algorithm::parse(value)
                     .ok_or_else(|| CliError::Usage(format!("unknown algorithm `{value}`")))?;
             }
-            "cost-model" => model = parse_cost_model(value)?,
+            "cost-model" => {
+                model = CostModelId::parse(value)
+                    .ok_or_else(|| CliError::Usage(format!("unknown cost model `{value}`")))?
+                    .model();
+            }
             "threads" => {
                 threads = parse_arg(value, "thread count", |_| true)?;
             }
@@ -870,8 +854,8 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 "--format dot renders one plan; it does not combine with --compare".into(),
             ));
         }
-        let ea = Explanation::capture(graph, &q.catalog, model.as_ref(), a, threads)?;
-        let eb = Explanation::capture(graph, &q.catalog, model.as_ref(), b, threads)?;
+        let ea = Explanation::capture(graph, &q.catalog, model, a, threads)?;
+        let eb = Explanation::capture(graph, &q.catalog, model, b, threads)?;
         let diff = compare(&ea, &eb);
         match format {
             "json" => writeln!(out, "{}", diff.to_json(&name_of))?,
@@ -880,7 +864,7 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let e = Explanation::capture(graph, &q.catalog, model.as_ref(), algorithm, threads)?;
+    let e = Explanation::capture(graph, &q.catalog, model, algorithm, threads)?;
     match format {
         "json" => writeln!(out, "{}", e.to_json(&name_of))?,
         "dot" => write!(out, "{}", e.render_dot(&name_of))?,
@@ -1144,24 +1128,9 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let mut prom_path: Option<&str> = None;
     let mut min_hit_rate: Option<f64> = None;
     let mut chaos = false;
-    let mut chaos_tuned = false;
-    let mut chaos_config = ChaosConfig::default();
     for (key, value) in options {
         match key {
             "chaos" => chaos = true,
-            "drivers" => {
-                chaos_tuned = true;
-                chaos_config.drivers = parse_arg::<usize>(value, "driver count", |&d| d >= 1)?;
-            }
-            "burst-faults" => {
-                chaos_tuned = true;
-                chaos_config.burst_faults = parse_arg::<usize>(value, "fault count", |&f| f >= 1)?;
-            }
-            "recheck" => {
-                chaos_tuned = true;
-                chaos_config.recheck_samples =
-                    parse_arg::<usize>(value, "sample count", |&s| s >= 1)?;
-            }
             "requests" => {
                 config.requests = parse_arg::<usize>(value, "request count", |&r| r >= 1)?;
             }
@@ -1209,11 +1178,6 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             other => return Err(CliError::Usage(format!("unknown option --{other}"))),
         }
     }
-    if !chaos && chaos_tuned {
-        return Err(CliError::Usage(
-            "--drivers/--burst-faults/--recheck require --chaos".into(),
-        ));
-    }
     let telemetry = Telemetry::new(false, None, prom_path)?;
     if chaos {
         if min_hit_rate.is_some() {
@@ -1221,9 +1185,8 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 "--min-hit-rate applies to the plain load gate; --chaos has its own gates".into(),
             ));
         }
-        chaos_config.load = config;
         let report = telemetry
-            .observe_sync(|obs| run_chaos(&chaos_config, obs))
+            .observe_sync(|obs| run_chaos(&config, obs))
             .map_err(CliError::Regression)?;
         telemetry.close()?;
         write!(out, "{}", report.render())?;
@@ -1286,7 +1249,7 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         match key {
             "smoke" => run_smoke = true,
             "span-timeline" => span_timeline = Some(value),
-            "no-trace" => config.trace.enabled = false,
+            "no-trace" => config.tracing = false,
             "addr" => {
                 if listen_set {
                     return Err(CliError::Usage("--addr and --unix are exclusive".into()));
@@ -1549,4 +1512,55 @@ fn cmd_counters(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         telemetry.close()?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use joinopt_service::server::parse_query_text;
+
+    /// The CLI file loader and the serve protocol share one SQL-or-DSL
+    /// rule: every committed query file, and a SQL text behind a `#`
+    /// comment, parses to the same spec — or fails with the same
+    /// message — through both entry points.
+    #[test]
+    fn file_loader_and_serve_classify_query_text_alike() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut paths = Vec::new();
+        for dir in ["tests/corpus", "workloads"] {
+            for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_some_and(|e| e == "query" || e == "sql") {
+                    paths.push(path);
+                }
+            }
+        }
+        assert!(paths.len() >= 20, "{paths:?}");
+        let commented =
+            std::env::temp_dir().join(format!("joinopt-sniff-{}.sql", std::process::id()));
+        std::fs::write(&commented, "# note\nSELECT * FROM a, b WHERE a.x = b.x\n").unwrap();
+        paths.push(commented.clone());
+
+        for path in &paths {
+            let text = std::fs::read_to_string(path).unwrap();
+            let served = parse_query_text(&text);
+            match load_query(path.to_str().unwrap()) {
+                Ok(q) => {
+                    let loaded = q
+                        .graph()
+                        .and_then(|g| QuerySpec::capture(g, &q.catalog).ok());
+                    assert_eq!(loaded, served.ok(), "{}", path.display());
+                }
+                Err(e) => {
+                    let served = served.expect_err(&path.display().to_string());
+                    assert!(
+                        e.to_string().ends_with(&served),
+                        "{}: {e} vs {served}",
+                        path.display()
+                    );
+                }
+            }
+        }
+        std::fs::remove_file(commented).unwrap();
+    }
 }

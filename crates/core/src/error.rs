@@ -84,26 +84,6 @@ pub enum OptimizeError {
         /// The algorithm's cap.
         max: usize,
     },
-    /// A service batch was rejected at admission: accepting the request
-    /// would overflow the service's queue capacity. Only produced by the
-    /// `joinopt-service` admission layer, never by the algorithms.
-    QueueFull {
-        /// Requests already admitted ahead of this one.
-        queued: usize,
-        /// The service's configured queue capacity.
-        capacity: usize,
-    },
-    /// A service request was rejected at admission: its tenant already
-    /// has its configured maximum number of requests in flight. Only
-    /// produced by the `joinopt-service` admission layer.
-    TenantLimitExceeded {
-        /// The rejected request's tenant label.
-        tenant: String,
-        /// The tenant's requests already admitted in this batch.
-        in_flight: usize,
-        /// The per-tenant concurrency limit.
-        limit: usize,
-    },
     /// An internal failure — a panicking worker or an injected fault —
     /// was caught and isolated instead of unwinding into the caller.
     Internal(String),
@@ -157,23 +137,6 @@ impl fmt::Display for OptimizeError {
                     "{algorithm} is capped at {max} relations, query has {relations}"
                 )
             }
-            OptimizeError::QueueFull { queued, capacity } => {
-                write!(
-                    f,
-                    "admission rejected: queue is full ({queued} of {capacity} slots taken)"
-                )
-            }
-            OptimizeError::TenantLimitExceeded {
-                tenant,
-                in_flight,
-                limit,
-            } => {
-                write!(
-                    f,
-                    "admission rejected: tenant `{tenant}` has {in_flight} requests in flight \
-                     (limit {limit})"
-                )
-            }
             OptimizeError::Internal(msg) => write!(f, "internal optimizer failure: {msg}"),
         }
     }
@@ -195,8 +158,6 @@ impl std::error::Error for OptimizeError {
             | OptimizeError::Cancelled
             | OptimizeError::UnsupportedCostModel { .. }
             | OptimizeError::TooManyRelations { .. }
-            | OptimizeError::QueueFull { .. }
-            | OptimizeError::TenantLimitExceeded { .. }
             | OptimizeError::Internal(_) => None,
         }
     }
@@ -307,25 +268,6 @@ mod tests {
         };
         assert!(t.to_string().contains("30"));
         assert!(t.to_string().contains("22"));
-        assert!(t.source().is_none());
-    }
-
-    #[test]
-    fn admission_errors_display_limits() {
-        let q = OptimizeError::QueueFull {
-            queued: 64,
-            capacity: 64,
-        };
-        assert!(q.to_string().contains("queue is full"));
-        assert!(q.to_string().contains("64"));
-        assert!(q.source().is_none());
-        let t = OptimizeError::TenantLimitExceeded {
-            tenant: "analytics".into(),
-            in_flight: 4,
-            limit: 4,
-        };
-        assert!(t.to_string().contains("analytics"));
-        assert!(t.to_string().contains("limit 4"));
         assert!(t.source().is_none());
     }
 }

@@ -196,25 +196,38 @@ impl Algorithm {
         }
     }
 
-    /// Parses an algorithm name (case-insensitive; the names of
-    /// [`JoinOrderer::name`] plus `"auto"`).
-    pub fn parse(s: &str) -> Option<Algorithm> {
-        match s.to_ascii_lowercase().as_str() {
-            "dpsize" => Some(Algorithm::DpSize),
-            "dpsize-naive" => Some(Algorithm::DpSizeNaive),
-            "dpsub" => Some(Algorithm::DpSub),
-            "dpsub-nofilter" => Some(Algorithm::DpSubUnfiltered),
-            "dpsub-cp" => Some(Algorithm::DpSubCrossProducts),
-            "dpccp" => Some(Algorithm::DpCcp),
-            "dpconv" => Some(Algorithm::DpConv),
-            "dpsize-leftdeep" => Some(Algorithm::DpSizeLeftDeep),
-            "idp" => Some(Algorithm::Idp),
-            "simulatedannealing" | "sa" => Some(Algorithm::SimulatedAnnealing),
-            "topdown" => Some(Algorithm::TopDown),
-            "goo" => Some(Algorithm::Goo),
-            "auto" => Some(Algorithm::Auto),
-            _ => None,
+    /// The lower-case wire name: the id the CLI's `--algorithm` and the
+    /// serve protocol accept and echo.
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            Algorithm::DpSize => "dpsize",
+            Algorithm::DpSizeNaive => "dpsize-naive",
+            Algorithm::DpSub => "dpsub",
+            Algorithm::DpSubUnfiltered => "dpsub-nofilter",
+            Algorithm::DpSubCrossProducts => "dpsub-cp",
+            Algorithm::DpCcp => "dpccp",
+            Algorithm::DpConv => "dpconv",
+            Algorithm::DpSizeLeftDeep => "dpsize-leftdeep",
+            Algorithm::Idp => "idp",
+            Algorithm::SimulatedAnnealing => "sa",
+            Algorithm::TopDown => "topdown",
+            Algorithm::Goo => "goo",
+            Algorithm::Auto => "auto",
         }
+    }
+
+    /// Parses an algorithm name, case-insensitively: a
+    /// [`wire_name`](Algorithm::wire_name), which also covers every
+    /// [`JoinOrderer::name`] except simulated annealing's, accepted as
+    /// `simulatedannealing`.
+    pub fn parse(s: &str) -> Option<Algorithm> {
+        if s.eq_ignore_ascii_case("simulatedannealing") {
+            return Some(Algorithm::SimulatedAnnealing);
+        }
+        Algorithm::CONCRETE
+            .into_iter()
+            .chain([Algorithm::Auto])
+            .find(|a| a.wire_name().eq_ignore_ascii_case(s))
     }
 }
 
@@ -363,6 +376,9 @@ mod tests {
         }
         assert_eq!(Algorithm::parse("AUTO"), Some(Algorithm::Auto));
         assert_eq!(Algorithm::parse("simulated-annealing"), None);
+        for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Auto]) {
+            assert_eq!(Algorithm::parse(alg.wire_name()), Some(alg), "{alg:?}");
+        }
     }
 
     #[test]

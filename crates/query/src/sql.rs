@@ -299,6 +299,17 @@ struct TableDecl {
     at: usize,
 }
 
+/// Whether `text` is SQL rather than the native DSL — the one rule
+/// every text entry point (CLI files, serve requests) dispatches on:
+/// the first line that is neither blank nor a comment of either
+/// frontend (`--` or `#`) starts with `SELECT`, in any case.
+pub fn looks_like_sql(text: &str) -> bool {
+    text.lines()
+        .map(str::trim_start)
+        .find(|l| !l.is_empty() && !l.starts_with("--") && !l.starts_with('#'))
+        .is_some_and(|l| l.get(..6).is_some_and(|p| p.eq_ignore_ascii_case("select")))
+}
+
 /// Parses a conjunctive SQL query into a [`ParsedQuery`].
 ///
 /// # Errors

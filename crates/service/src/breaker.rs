@@ -9,10 +9,9 @@
 //! worker pool from a tenant whose queries reliably fail and shortening
 //! the failure feedback loop for the client. After
 //! [`BreakerConfig::cooldown`] the first admission becomes a
-//! **half-open probe**: exactly one request is let through; if it (and
-//! any further probes, up to [`BreakerConfig::success_threshold`]
-//! successes) succeeds the breaker closes, and any probe failure
-//! re-opens it for a fresh cooldown.
+//! **half-open probe**: exactly one request is let through; its success
+//! closes the breaker, and a probe failure re-opens it for a fresh
+//! cooldown.
 //!
 //! The breaker itself is clock-free: every time-dependent entry point
 //! takes `now_ns` from the caller's [`Clock`](crate::Clock), so unit
@@ -27,8 +26,6 @@ pub struct BreakerConfig {
     pub failure_threshold: u32,
     /// How long an open breaker rejects before allowing a probe.
     pub cooldown: Duration,
-    /// Probe successes (while half-open) needed to close.
-    pub success_threshold: u32,
 }
 
 impl Default for BreakerConfig {
@@ -36,7 +33,6 @@ impl Default for BreakerConfig {
         BreakerConfig {
             failure_threshold: 5,
             cooldown: Duration::from_millis(250),
-            success_threshold: 1,
         }
     }
 }
@@ -68,16 +64,9 @@ pub enum BreakerDecision {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
-    Closed {
-        consecutive_failures: u32,
-    },
-    Open {
-        opened_at_ns: u64,
-    },
-    HalfOpen {
-        successes: u32,
-        probe_in_flight: bool,
-    },
+    Closed { consecutive_failures: u32 },
+    Open { opened_at_ns: u64 },
+    HalfOpen { probe_in_flight: bool },
 }
 
 /// One tenant's breaker. Time comes in as `now_ns` (nanoseconds on the
@@ -121,7 +110,6 @@ impl CircuitBreaker {
                 let elapsed = now_ns.saturating_sub(opened_at_ns);
                 if elapsed >= cooldown_ns {
                     self.state = State::HalfOpen {
-                        successes: 0,
                         probe_in_flight: true,
                     };
                     BreakerDecision::Allow
@@ -131,10 +119,7 @@ impl CircuitBreaker {
                     }
                 }
             }
-            State::HalfOpen {
-                successes,
-                probe_in_flight,
-            } => {
+            State::HalfOpen { probe_in_flight } => {
                 if probe_in_flight {
                     // A probe is already out; come back once it lands.
                     BreakerDecision::Reject {
@@ -142,7 +127,6 @@ impl CircuitBreaker {
                     }
                 } else {
                     self.state = State::HalfOpen {
-                        successes,
                         probe_in_flight: true,
                     };
                     BreakerDecision::Allow
@@ -151,26 +135,14 @@ impl CircuitBreaker {
         }
     }
 
-    /// Reports a success for an admitted request.
+    /// Reports a success for an admitted request: resets the failure
+    /// count while closed, and closes a half-open breaker.
     pub fn on_success(&mut self) {
         match self.state {
-            State::Closed { .. } => {
+            State::Closed { .. } | State::HalfOpen { .. } => {
                 self.state = State::Closed {
                     consecutive_failures: 0,
                 };
-            }
-            State::HalfOpen { successes, .. } => {
-                let successes = successes + 1;
-                if successes >= self.config.success_threshold {
-                    self.state = State::Closed {
-                        consecutive_failures: 0,
-                    };
-                } else {
-                    self.state = State::HalfOpen {
-                        successes,
-                        probe_in_flight: false,
-                    };
-                }
             }
             // A request admitted while closed can land after a
             // concurrent failure already opened the breaker; the late
@@ -183,13 +155,12 @@ impl CircuitBreaker {
     /// breaker does not count — e.g. a tripped per-request memory or
     /// cost budget. Releases the half-open probe slot (the breaker
     /// stays half-open for the next probe) without touching failure
-    /// or success counts; every `Allow` must be resolved through
-    /// exactly one of `on_success`, `on_failure` or `on_neutral`, or
-    /// a leaked probe slot would reject the tenant forever.
+    /// counts; every `Allow` must be resolved through exactly one of
+    /// `on_success`, `on_failure` or `on_neutral`, or a leaked probe
+    /// slot would reject the tenant forever.
     pub fn on_neutral(&mut self) {
-        if let State::HalfOpen { successes, .. } = self.state {
+        if let State::HalfOpen { .. } = self.state {
             self.state = State::HalfOpen {
-                successes,
                 probe_in_flight: false,
             };
         }
@@ -237,7 +208,6 @@ mod tests {
         CircuitBreaker::new(BreakerConfig {
             failure_threshold: 3,
             cooldown: Duration::from_millis(100),
-            success_threshold: 1,
         })
     }
 
@@ -300,22 +270,6 @@ mod tests {
         // Fresh cooldown from t=200ms: still rejecting at t=250ms.
         assert!(matches!(b.admit(250 * MS), BreakerDecision::Reject { .. }));
         assert_eq!(b.admit(300 * MS), BreakerDecision::Allow);
-    }
-
-    #[test]
-    fn success_threshold_above_one_needs_multiple_probes() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 1,
-            cooldown: Duration::from_millis(10),
-            success_threshold: 2,
-        });
-        assert!(b.on_failure(0));
-        assert_eq!(b.admit(20 * MS), BreakerDecision::Allow);
-        b.on_success();
-        assert_eq!(b.state(), BreakerState::HalfOpen, "one of two successes");
-        assert_eq!(b.admit(21 * MS), BreakerDecision::Allow);
-        b.on_success();
-        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -59,8 +59,6 @@ pub struct ShedConfig {
     pub high_watermark: usize,
     /// Hard cap: even `High`-priority requests shed here.
     pub max_in_flight: usize,
-    /// Base `Retry-After` hint attached to shed rejections.
-    pub retry_after: Duration,
 }
 
 impl Default for ShedConfig {
@@ -69,13 +67,19 @@ impl Default for ShedConfig {
             low_watermark: 8,
             high_watermark: 16,
             max_in_flight: 32,
-            retry_after: Duration::from_millis(50),
         }
     }
 }
 
-/// Gateway tuning: shedding, retry, breaker and the failpoint-driven
-/// slow-request stall.
+/// The `Retry-After` hint attached to shed and drain rejections.
+const SHED_RETRY_AFTER: Duration = Duration::from_millis(50);
+
+/// Stall injected per attempt while the `serve-slow-request` failpoint
+/// flag is armed (models a wedged worker; drives the deadline
+/// propagation tests).
+const SLOW_REQUEST_DELAY: Duration = Duration::from_millis(25);
+
+/// Gateway tuning: shedding, retry, breaker and the jitter seed.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Shedding watermarks.
@@ -86,10 +90,6 @@ pub struct GatewayConfig {
     pub breaker: BreakerConfig,
     /// Seed for the backoff jitter stream.
     pub seed: u64,
-    /// Stall injected per attempt while the `serve-slow-request`
-    /// failpoint flag is armed (models a wedged worker; drives
-    /// deadline-propagation tests).
-    pub slow_request_delay: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -99,7 +99,6 @@ impl Default for GatewayConfig {
             retry: RetryConfig::default(),
             breaker: BreakerConfig::default(),
             seed: 2006,
-            slow_request_delay: Duration::from_millis(25),
         }
     }
 }
@@ -375,14 +374,15 @@ impl Gateway {
             Priority::High => self.config.shed.max_in_flight,
         }
         .min(self.config.shed.max_in_flight);
-        let retry_after = self.config.shed.retry_after;
         let admitted = if self.is_draining() {
-            Err(Rejection::Draining { retry_after })
+            Err(Rejection::Draining {
+                retry_after: SHED_RETRY_AFTER,
+            })
         } else {
             InFlightGuard::try_enter(self, watermark).map_err(|in_flight| Rejection::Shed {
                 priority: req.priority,
                 in_flight,
-                retry_after,
+                retry_after: SHED_RETRY_AFTER,
             })
         };
         let _guard = match admitted {
@@ -433,13 +433,13 @@ impl Gateway {
             // A wedged worker, when injected: each attempt stalls before
             // it runs, eating into the deadline below.
             if joinopt_core::failpoint::flag("serve-slow-request") {
-                self.clock.sleep(self.config.slow_request_delay);
+                self.clock.sleep(SLOW_REQUEST_DELAY);
             }
 
             // Deadline propagation: the remaining end-to-end allowance
             // caps this attempt's optimizer time budget (and with it the
             // core CancellationToken's deadline).
-            let mut effective = req.clone();
+            let mut time_budget = req.time_budget;
             if let Some(d) = deadline {
                 let elapsed = Duration::from_nanos(self.clock.now_ns().saturating_sub(admitted_ns));
                 let Some(remaining) = d.checked_sub(elapsed).filter(|r| !r.is_zero()) else {
@@ -450,13 +450,13 @@ impl Gateway {
                         obs,
                     ));
                 };
-                effective.time_budget = Some(match req.time_budget {
-                    Some(b) => b.min(remaining),
-                    None => remaining,
-                });
+                time_budget = Some(time_budget.map_or(remaining, |b| b.min(remaining)));
             }
 
-            match self.service.submit_one(&effective, session, obs) {
+            match self
+                .service
+                .submit_with_budget(req, time_budget, session, obs)
+            {
                 Ok(outcome) => {
                     self.completed.fetch_add(1, Ordering::Relaxed);
                     let mut tenants = lock(&self.tenants);
@@ -584,13 +584,12 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 
 /// The reporting label an optimizer error rolls up under in serve
 /// responses and the load report's per-type error breakdown:
-/// `timeout`, `memory`, `panic`, `parse`, `admission` or `other`.
+/// `timeout`, `memory`, `panic`, `parse` or `other`.
 pub fn error_kind(e: &OptimizeError) -> &'static str {
     match e {
         OptimizeError::TimeBudgetExceeded { .. } => "timeout",
         OptimizeError::MemoryBudgetExceeded { .. } => "memory",
         OptimizeError::Parse(_) | OptimizeError::Sql(_) => "parse",
-        OptimizeError::QueueFull { .. } | OptimizeError::TenantLimitExceeded { .. } => "admission",
         OptimizeError::Internal(msg) if msg.contains("panic") => "panic",
         _ => "other",
     }
@@ -598,7 +597,7 @@ pub fn error_kind(e: &OptimizeError) -> &'static str {
 
 /// Failures that feed the circuit breaker: service-side malfunction
 /// (panics surface as `Internal`) and deadline blowouts — not
-/// per-query client errors (parse, shape, admission).
+/// per-query client errors (parse, shape, memory or cost budgets).
 fn counts_for_breaker(e: &OptimizeError) -> bool {
     matches!(
         e,
@@ -665,7 +664,6 @@ mod tests {
                 low_watermark: 1,
                 high_watermark: 2,
                 max_in_flight: 3,
-                retry_after: Duration::from_millis(40),
             },
             ..GatewayConfig::default()
         });
@@ -683,7 +681,7 @@ mod tests {
             })) => {
                 assert_eq!(priority, Priority::Low);
                 assert_eq!(in_flight, 1);
-                assert_eq!(retry_after, Duration::from_millis(40));
+                assert_eq!(retry_after, SHED_RETRY_AFTER);
             }
             other => panic!("low must shed: {other:?}"),
         }
@@ -763,7 +761,6 @@ mod tests {
                 breaker: BreakerConfig {
                     failure_threshold: 3,
                     cooldown: Duration::from_millis(100),
-                    success_threshold: 1,
                 },
                 ..GatewayConfig::default()
             },
@@ -807,7 +804,6 @@ mod tests {
                 breaker: BreakerConfig {
                     failure_threshold: 2,
                     cooldown: Duration::from_millis(100),
-                    success_threshold: 1,
                 },
                 ..GatewayConfig::default()
             },

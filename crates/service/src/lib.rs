@@ -1,5 +1,5 @@
 //! Optimizer-as-a-service: the owned request API, the canonical plan
-//! cache and batched admission on top of `joinopt-core`.
+//! cache and a batch executor on top of `joinopt-core`.
 //!
 //! The core crate's [`OptimizeRequest`](joinopt_core::OptimizeRequest)
 //! is a borrowed, zero-cost builder: perfect for embedding, useless for
@@ -17,9 +17,9 @@
 //!   × algorithm × cost-model id, storing detached plan trees with
 //!   their cost bits under an exact LRU byte budget;
 //! * [`service`] — [`ServiceRequest`] (owned spec + tenant + priority +
-//!   budgets) and [`OptimizerService`], a batch executor with per-tenant
-//!   admission control riding the core crate's exact → IDP → GOO
-//!   degradation ladder;
+//!   budgets) and [`OptimizerService`], a priority-ordered batch
+//!   executor riding the core crate's exact → IDP → GOO degradation
+//!   ladder;
 //! * [`clock`] / [`retry`] / [`breaker`] — the injectable clock,
 //!   jittered-backoff retry policy with per-tenant budgets, and the
 //!   per-tenant circuit breaker behind the server;
@@ -58,7 +58,7 @@ pub use gateway::{
     error_kind, Gateway, GatewayConfig, GatewayError, GatewayStats, Rejection, ShedConfig,
 };
 pub use retry::{RetryBudget, RetryConfig, RetryPolicy};
-pub use server::{ServeSummary, Server, ServerConfig, TraceConfig};
+pub use server::{ServeSummary, Server, ServerConfig};
 pub use service::{
     CostModelId, OptimizerService, Priority, ServiceConfig, ServiceOutcome, ServiceRequest,
 };

@@ -39,9 +39,9 @@
 //! a seeded per-server counter, echoed in the response, and usable with
 //! the `trace` verb to fetch the request's full stage-span timeline
 //! (accept → shed-check → breaker → cache-lookup/optimize per attempt →
-//! retry-backoff → respond). Tracing is on by default and tunable via
-//! [`TraceConfig`]; disabling it restores the untraced fast path with
-//! zero extra clock reads (pinned by `tests/trace_overhead.rs`).
+//! retry-backoff → respond). Tracing is on by default
+//! ([`ServerConfig::tracing`]); disabling it restores the untraced fast
+//! path with zero extra clock reads (pinned by `tests/trace_overhead.rs`).
 //!
 //! ## Shutdown
 //!
@@ -94,38 +94,18 @@ pub enum Listen {
     Unix(PathBuf),
 }
 
-/// Request-tracing and windowed-metrics tuning for the serve path.
-#[derive(Debug, Clone)]
-pub struct TraceConfig {
-    /// Master switch. Off, the request path performs zero extra clock
-    /// reads and produces bit-identical plans (pinned in
-    /// `tests/trace_overhead.rs`); the `metrics`/`trace`/`slow` verbs
-    /// then answer from empty stores.
-    pub enabled: bool,
-    /// Sizing of the rolling per-(tenant, verb, stage) latency windows
-    /// behind the `metrics` verb and `joinopt top`.
-    pub window: WindowConfig,
-    /// How many finished traces the `trace` verb can look up by id.
-    pub recent_capacity: usize,
-    /// Worst-K bound of the `slow` verb's slowest-request ring.
-    pub slow_capacity: usize,
-}
+/// The rolling per-(tenant, verb, stage) latency windows behind the
+/// `metrics` verb and `joinopt top`: 60 one-second buckets.
+const TRACE_WINDOW: WindowConfig = WindowConfig {
+    bucket_width_ns: 1_000_000_000,
+    buckets: 60,
+};
 
-impl Default for TraceConfig {
-    /// Tracing on, a 60-second window of one-second buckets, 256 recent
-    /// traces, worst 16 slow requests.
-    fn default() -> Self {
-        TraceConfig {
-            enabled: true,
-            window: WindowConfig {
-                bucket_width_ns: 1_000_000_000,
-                buckets: 60,
-            },
-            recent_capacity: 256,
-            slow_capacity: 16,
-        }
-    }
-}
+/// How many finished traces the `trace` verb can look up by id.
+const RECENT_TRACES: usize = 256;
+
+/// Worst-K bound of the `slow` verb's slowest-request ring.
+const SLOW_TRACES: usize = 16;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -136,8 +116,11 @@ pub struct ServerConfig {
     pub service: ServiceConfig,
     /// Gateway hardening (shedding, retries, breaker).
     pub gateway: GatewayConfig,
-    /// Request tracing and windowed metrics.
-    pub trace: TraceConfig,
+    /// Request tracing and windowed metrics (on by default). Off, the
+    /// request path performs zero extra clock reads and produces
+    /// bit-identical plans (pinned in `tests/trace_overhead.rs`); the
+    /// `metrics`/`trace`/`slow` verbs then answer from empty stores.
+    pub tracing: bool,
     /// How long the final drain may wait for in-flight requests.
     pub drain_timeout: Duration,
     /// When set, the final metrics snapshot is written here in
@@ -151,7 +134,7 @@ impl Default for ServerConfig {
             listen: Listen::Tcp("127.0.0.1:0".into()),
             service: ServiceConfig::default(),
             gateway: GatewayConfig::default(),
-            trace: TraceConfig::default(),
+            tracing: true,
             drain_timeout: Duration::from_secs(30),
             prom_path: None,
         }
@@ -169,15 +152,12 @@ struct ServeTelemetry {
 }
 
 impl ServeTelemetry {
-    fn new(config: &TraceConfig, seed: u64) -> ServeTelemetry {
+    fn new(enabled: bool, seed: u64) -> ServeTelemetry {
         ServeTelemetry {
-            enabled: config.enabled,
+            enabled,
             minter: TraceIdMinter::new(seed),
-            windows: std::sync::Mutex::new(WindowedMetrics::new(config.window)),
-            traces: std::sync::Mutex::new(TraceLog::new(
-                config.recent_capacity,
-                config.slow_capacity,
-            )),
+            windows: std::sync::Mutex::new(WindowedMetrics::new(TRACE_WINDOW)),
+            traces: std::sync::Mutex::new(TraceLog::new(RECENT_TRACES, SLOW_TRACES)),
         }
     }
 
@@ -331,7 +311,7 @@ impl Server {
             OptimizerService::new(config.service.clone()),
             config.gateway.clone(),
         );
-        let telemetry = ServeTelemetry::new(&config.trace, config.gateway.seed);
+        let telemetry = ServeTelemetry::new(config.tracing, config.gateway.seed);
         Ok(Server {
             config,
             listener,
@@ -778,7 +758,7 @@ fn optimize_response(
     let (status, response) = match result {
         Ok(outcome) => {
             if let Some(tr) = trace.as_mut() {
-                tr.algorithm = Some(algorithm_name(outcome.algorithm));
+                tr.algorithm = Some(outcome.algorithm.wire_name());
                 tr.cache_hit = Some(outcome.cache_hit);
                 tr.degraded = outcome.degradation.as_ref().map(|d| d.rung.as_str());
             }
@@ -788,7 +768,7 @@ fn optimize_response(
                 .f64("cost", outcome.result.cost)
                 .f64("cardinality", outcome.result.cardinality)
                 .u64("relations", outcome.result.tree.num_relations() as u64)
-                .str("algorithm", algorithm_name(outcome.algorithm))
+                .str("algorithm", outcome.algorithm.wire_name())
                 .bool("cache_hit", outcome.cache_hit);
             if let Some(d) = &outcome.degradation {
                 o = o.str("degraded", d.rung.as_str());
@@ -885,12 +865,7 @@ fn build_request(
 /// Parses inline query text — conjunctive SQL or the native DSL, the
 /// same content sniffing as the CLI file loader — into a [`QuerySpec`].
 pub fn parse_query_text(text: &str) -> Result<QuerySpec, String> {
-    let looks_like_sql = text
-        .lines()
-        .map(str::trim_start)
-        .find(|l| !l.is_empty() && !l.starts_with("--") && !l.starts_with('#'))
-        .is_some_and(|l| l.get(..6).is_some_and(|p| p.eq_ignore_ascii_case("select")));
-    let parsed = if looks_like_sql {
+    let parsed = if joinopt_query::looks_like_sql(text) {
         joinopt_query::parse_sql(text).map_err(|e| e.to_string())?
     } else {
         joinopt_query::parse(text).map_err(|e| e.to_string())?
@@ -901,24 +876,9 @@ pub fn parse_query_text(text: &str) -> Result<QuerySpec, String> {
     QuerySpec::capture(graph, &parsed.catalog).map_err(|e| e.to_string())
 }
 
-/// The wire name of a concrete algorithm (the same lower-case ids
-/// [`Algorithm::parse`] accepts).
+/// The wire name of an algorithm: [`Algorithm::wire_name`].
 pub fn algorithm_name(a: Algorithm) -> &'static str {
-    match a {
-        Algorithm::DpSize => "dpsize",
-        Algorithm::DpSizeNaive => "dpsize-naive",
-        Algorithm::DpSub => "dpsub",
-        Algorithm::DpSubUnfiltered => "dpsub-nofilter",
-        Algorithm::DpSubCrossProducts => "dpsub-cp",
-        Algorithm::DpCcp => "dpccp",
-        Algorithm::DpConv => "dpconv",
-        Algorithm::DpSizeLeftDeep => "dpsize-leftdeep",
-        Algorithm::Idp => "idp",
-        Algorithm::SimulatedAnnealing => "sa",
-        Algorithm::TopDown => "topdown",
-        Algorithm::Goo => "goo",
-        Algorithm::Auto => "auto",
-    }
+    a.wire_name()
 }
 
 /// A scripted client for tests and the `--smoke` self-check: connects,
@@ -1226,7 +1186,7 @@ pub fn span_timeline_demo() -> String {
         config.gateway.clone(),
         crate::clock::Clock::manual(),
     );
-    let telemetry = ServeTelemetry::new(&config.trace, 42);
+    let telemetry = ServeTelemetry::new(config.tracing, 42);
     let shutdown = AtomicBool::new(false);
     let obs = joinopt_telemetry::NoopObserver;
     let mut session: Option<Session> = None;
@@ -1466,18 +1426,15 @@ mod tests {
 
     /// A socket-less harness: a manual-clock gateway + telemetry pair
     /// driven straight through [`dispatch`].
-    fn dispatch_harness(trace: TraceConfig) -> (Gateway, ServeTelemetry) {
-        let config = ServerConfig {
-            trace,
-            ..ServerConfig::default()
-        };
+    fn dispatch_harness(tracing: bool) -> (Gateway, ServeTelemetry) {
+        let config = ServerConfig::default();
         let service = OptimizerService::new(config.service.clone());
         let gateway = Gateway::with_clock(
             service,
             config.gateway.clone(),
             crate::clock::Clock::manual(),
         );
-        let telemetry = ServeTelemetry::new(&config.trace, 7);
+        let telemetry = ServeTelemetry::new(tracing, 7);
         (gateway, telemetry)
     }
 
@@ -1505,7 +1462,7 @@ mod tests {
 
     #[test]
     fn every_error_path_echoes_id() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig::default());
+        let (gateway, telemetry) = dispatch_harness(true);
         let expect_id = |resp: &JsonValue, who: &str| {
             assert_eq!(
                 resp.get("id").and_then(|v| v.as_str()),
@@ -1588,7 +1545,7 @@ mod tests {
 
     #[test]
     fn unparseable_lines_salvage_id_and_trace_id() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig::default());
+        let (gateway, telemetry) = dispatch_harness(true);
         // Truncated JSON — unclosed object — still echoes both ids.
         let r = call_dispatch(
             &gateway,
@@ -1616,7 +1573,7 @@ mod tests {
 
     #[test]
     fn trace_ids_are_minted_fetched_and_windowed() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig::default());
+        let (gateway, telemetry) = dispatch_harness(true);
         let cold = call_dispatch(&gateway, &telemetry, &optimize_req(",\"id\":\"c1\""));
         assert_eq!(cold.get("status").and_then(|v| v.as_str()), Some("ok"));
         let minted = cold
@@ -1723,10 +1680,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_mints_nothing_but_echoes_client_ids() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig {
-            enabled: false,
-            ..TraceConfig::default()
-        });
+        let (gateway, telemetry) = dispatch_harness(false);
         let r = call_dispatch(&gateway, &telemetry, &optimize_req(""));
         assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("ok"));
         assert!(
@@ -1764,7 +1718,7 @@ mod tests {
 
     #[test]
     fn responses_round_trip_hostile_ids() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig::default());
+        let (gateway, telemetry) = dispatch_harness(true);
         let hostile = "he said \"quote\"\\\n\ttab\u{1}";
         let mut req = String::from("{\"verb\":\"optimize\",\"id\":");
         write_escaped(&mut req, hostile);

@@ -1,23 +1,21 @@
-//! [`ServiceRequest`], admission control and the batch executor.
+//! [`ServiceRequest`] and the batch executor.
 //!
 //! The service is the one blessed entry point for *owned* work: a
 //! [`ServiceRequest`] carries its [`QuerySpec`], a tenant label, a
-//! priority and per-request budgets, so it can sit in a queue, be
-//! rejected with a typed error, or be answered straight from the plan
-//! cache. Execution rides the core crate end to end: each worker pools
-//! a [`Session`] across the queries it claims, budget trips walk the
-//! exact → IDP → GOO degradation ladder when the request opted in, and
-//! panics are isolated per request.
+//! priority and per-request budgets, so it can sit in a queue or be
+//! answered straight from the plan cache. Execution rides the core
+//! crate end to end: each worker pools a [`Session`] across the queries
+//! it claims, budget trips walk the exact → IDP → GOO degradation
+//! ladder when the request opted in, and panics are isolated per
+//! request.
 //!
-//! ## Admission
+//! ## Scheduling
 //!
-//! A submitted batch is admitted in arrival order under two limits:
-//! per-tenant concurrency (`tenant_limit` requests of one tenant in
-//! flight per batch) and total queue capacity. Rejected slots come back
-//! immediately as [`OptimizeError::TenantLimitExceeded`] /
-//! [`OptimizeError::QueueFull`] without disturbing their neighbours.
-//! Admitted requests execute highest [`Priority`] first (stable within
-//! a priority class), spread across the worker pool.
+//! A submitted batch executes highest [`Priority`] first (stable within
+//! a priority class), spread across the worker pool; every slot gets an
+//! answer or its own typed error. Admission control — load shedding and
+//! the per-tenant circuit breaker — lives in one place, the
+//! [`crate::Gateway`] in front of [`OptimizerService::submit_one`].
 //!
 //! ## Caching
 //!
@@ -136,7 +134,8 @@ impl Priority {
 pub struct ServiceRequest {
     /// The owned query.
     pub spec: QuerySpec,
-    /// Tenant label for admission accounting.
+    /// Tenant label (the gateway keeps one breaker and retry budget per
+    /// tenant).
     pub tenant: String,
     /// Scheduling priority within a batch.
     pub priority: Priority,
@@ -236,10 +235,6 @@ pub struct ServiceConfig {
     /// Worker threads for batch execution. `0` = the machine's
     /// available parallelism.
     pub worker_threads: usize,
-    /// Maximum requests admitted per batch.
-    pub queue_capacity: usize,
-    /// Maximum requests of one tenant in flight per batch.
-    pub tenant_limit: usize,
     /// Plan-cache sizing; `None` disables caching entirely (and with it
     /// the whole fingerprint path).
     pub cache: Option<CacheConfig>,
@@ -249,8 +244,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             worker_threads: 0,
-            queue_capacity: 1024,
-            tenant_limit: 256,
             cache: Some(CacheConfig::default()),
         }
     }
@@ -273,9 +266,8 @@ pub struct ServiceOutcome {
     pub elapsed: Duration,
 }
 
-/// The optimizer service: a plan cache plus a batch executor with
-/// admission control. Methods take `&self`; one service is shared
-/// across submitting threads.
+/// The optimizer service: a plan cache plus a batch executor. Methods
+/// take `&self`; one service is shared across submitting threads.
 pub struct OptimizerService {
     config: ServiceConfig,
     cache: Option<PlanCache>,
@@ -307,8 +299,7 @@ impl OptimizerService {
     }
 
     /// Submits a batch — the library's one batch worker pool. Results
-    /// come back in input order; admission rejections occupy their slots
-    /// as typed errors.
+    /// come back in input order, one per request.
     ///
     /// Each worker pools a [`Session`] across the requests it claims and
     /// runs every query with one intra-query thread (query-level
@@ -324,45 +315,22 @@ impl OptimizerService {
         requests: &[ServiceRequest],
         obs: &(dyn Observer + Sync),
     ) -> Vec<Result<ServiceOutcome, OptimizeError>> {
-        use std::collections::HashMap;
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::mpsc;
 
         let mut results: Vec<Option<Result<ServiceOutcome, OptimizeError>>> =
             (0..requests.len()).map(|_| None).collect();
 
-        // Admission in arrival order: tenant caps first, then capacity.
-        let mut in_flight: HashMap<&str, usize> = HashMap::new();
-        let mut admitted: Vec<usize> = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            let tenant_count = in_flight.entry(req.tenant.as_str()).or_insert(0);
-            if *tenant_count >= self.config.tenant_limit {
-                results[i] = Some(Err(OptimizeError::TenantLimitExceeded {
-                    tenant: req.tenant.clone(),
-                    in_flight: *tenant_count,
-                    limit: self.config.tenant_limit,
-                }));
-                continue;
-            }
-            if admitted.len() >= self.config.queue_capacity {
-                results[i] = Some(Err(OptimizeError::QueueFull {
-                    queued: admitted.len(),
-                    capacity: self.config.queue_capacity,
-                }));
-                continue;
-            }
-            *tenant_count += 1;
-            admitted.push(i);
-        }
         // Highest priority first; stable, so arrival order breaks ties.
-        admitted.sort_by_key(|&i| std::cmp::Reverse(requests[i].priority));
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(requests[i].priority));
 
         let workers = if self.config.worker_threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
         } else {
             self.config.worker_threads
         }
-        .min(admitted.len())
+        .min(order.len())
         .max(1);
 
         let run_one = |session: &mut Option<Session>, req: &ServiceRequest| {
@@ -371,7 +339,7 @@ impl OptimizerService {
 
         if workers == 1 {
             let mut session = None;
-            for &i in &admitted {
+            for &i in &order {
                 results[i] = Some(run_one(&mut session, &requests[i]));
             }
         } else {
@@ -382,12 +350,12 @@ impl OptimizerService {
                     let tx = tx.clone();
                     let next = &next;
                     let run_one = &run_one;
-                    let admitted = &admitted;
+                    let order = &order;
                     scope.spawn(move || {
                         let mut session = None;
                         loop {
                             let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = admitted.get(k) else { break };
+                            let Some(&i) = order.get(k) else { break };
                             if tx.send((i, run_one(&mut session, &requests[i]))).is_err() {
                                 break;
                             }
@@ -412,11 +380,11 @@ impl OptimizerService {
             .collect()
     }
 
-    /// Answers one request outside a batch — the `joinopt serve` path.
-    /// Skips batch admission (the server gateway does its own shedding
-    /// and breaker checks before calling this), shares the plan cache,
-    /// isolates panics exactly like a batch worker, and reuses the
-    /// caller's pooled session across calls. When `obs` wants spans
+    /// Answers one request outside a batch — the `joinopt serve` path
+    /// (the server gateway does its shedding and breaker checks before
+    /// calling this). Shares the plan cache, isolates panics exactly
+    /// like a batch worker, and reuses the caller's pooled session
+    /// across calls. When `obs` wants spans
     /// ([`Observer::wants_spans`]), the cache probe and the engine run
     /// are reported as `cache-lookup` / `optimize` stage events;
     /// otherwise this path reads no clock at all (the zero-overhead
@@ -427,8 +395,21 @@ impl OptimizerService {
         session: &mut Option<Session>,
         obs: &dyn Observer,
     ) -> Result<ServiceOutcome, OptimizeError> {
+        self.submit_with_budget(req, req.time_budget, session, obs)
+    }
+
+    /// [`OptimizerService::submit_one`] with `time_budget` in place of
+    /// the request's own — the gateway's per-attempt deadline cap,
+    /// passed down without copying the request.
+    pub(crate) fn submit_with_budget(
+        &self,
+        req: &ServiceRequest,
+        time_budget: Option<Duration>,
+        session: &mut Option<Session>,
+        obs: &dyn Observer,
+    ) -> Result<ServiceOutcome, OptimizeError> {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.answer(session, req, obs)
+            self.answer(session, req, time_budget, obs)
         }));
         match outcome {
             Ok(r) => r,
@@ -439,8 +420,9 @@ impl OptimizerService {
         }
     }
 
-    /// Answers one admitted request: cache probe, then (on a miss) a
-    /// full optimization, then (when exact) a cache store.
+    /// Answers one request: cache probe, then (on a miss) a full
+    /// optimization under `time_budget`, then (when exact) a cache
+    /// store.
     ///
     /// Two service-level failpoint sites live here (cfg-gated, see
     /// `docs/robustness.md`): `serve-worker-panic` fires before any
@@ -453,6 +435,7 @@ impl OptimizerService {
         &self,
         session: &mut Option<Session>,
         req: &ServiceRequest,
+        time_budget: Option<Duration>,
         obs: &dyn Observer,
     ) -> Result<ServiceOutcome, OptimizeError> {
         joinopt_core::failpoint::check("serve-worker-panic")?;
@@ -528,7 +511,7 @@ impl OptimizerService {
             .with_cost_model(model)
             .with_threads(1)
             .with_observer(obs);
-        if let Some(budget) = req.time_budget {
+        if let Some(budget) = time_budget {
             request = request.with_time_budget(budget);
         }
         if let Some(budget) = req.cost_budget {
@@ -626,42 +609,18 @@ mod tests {
     }
 
     #[test]
-    fn tenant_limit_rejects_in_place() {
-        let service = OptimizerService::new(ServiceConfig {
-            tenant_limit: 2,
-            ..ServiceConfig::default()
-        });
-        let reqs: Vec<_> = (0..4)
-            .map(|i| ServiceRequest::new(spec(GraphKind::Star, 5, i)).with_tenant("acme"))
+    fn a_default_batch_answers_every_slot() {
+        // No per-batch admission cap: a large single-tenant batch gets a
+        // plan in every slot, in input order.
+        let service = OptimizerService::default();
+        let reqs: Vec<_> = (0..300u64)
+            .map(|i| ServiceRequest::new(spec(GraphKind::Chain, 3 + i as usize % 3, i)))
             .collect();
         let results = service.submit_batch(&reqs, &NoopObserver);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_ok());
-        for r in &results[2..] {
-            assert!(matches!(
-                r,
-                Err(OptimizeError::TenantLimitExceeded { tenant, limit: 2, .. })
-                    if tenant == "acme"
-            ));
-        }
-    }
-
-    #[test]
-    fn queue_capacity_rejects_the_overflow() {
-        let service = OptimizerService::new(ServiceConfig {
-            queue_capacity: 1,
-            ..ServiceConfig::default()
-        });
-        let reqs: Vec<_> = (0..3)
-            .map(|i| ServiceRequest::new(spec(GraphKind::Chain, 4, i)))
-            .collect();
-        let results = service.submit_batch(&reqs, &NoopObserver);
-        assert!(results[0].is_ok());
-        for r in &results[1..] {
-            assert!(matches!(
-                r,
-                Err(OptimizeError::QueueFull { capacity: 1, .. })
-            ));
+        assert_eq!(results.len(), 300);
+        for (i, r) in results.iter().enumerate() {
+            let r = r.as_ref().unwrap_or_else(|e| panic!("slot {i}: {e}"));
+            assert_eq!(r.result.tree.num_relations(), 3 + i % 3, "slot {i}");
         }
     }
 
@@ -670,7 +629,6 @@ mod tests {
         let service = OptimizerService::new(ServiceConfig {
             cache: None,
             worker_threads: 3,
-            ..ServiceConfig::default()
         });
         let mut reqs: Vec<_> = (0..5u64)
             .map(|i| {
@@ -727,7 +685,6 @@ mod tests {
         let service = OptimizerService::new(ServiceConfig {
             cache: None,
             worker_threads: 1,
-            ..ServiceConfig::default()
         });
         let models = [
             CostModelId::Cout,

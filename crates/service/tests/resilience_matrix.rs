@@ -127,7 +127,6 @@ fn fault_burst_opens_breaker_and_drain_completes() {
             breaker: BreakerConfig {
                 failure_threshold: 3,
                 cooldown: Duration::from_millis(250),
-                success_threshold: 1,
             },
             // No retries: each injected panic is a terminal failure, so
             // the breaker accounting below is exact.

@@ -6,9 +6,7 @@
 //! 2. watch the plan cache work — the same logical query relabeled and
 //!    resubmitted is answered from the cache, bit-identical to its cold
 //!    run, because cache keys are *canonical fingerprints*, not raw
-//!    specs;
-//! 3. admission control — a tenant over its concurrency limit gets a
-//!    typed rejection while its neighbours' requests still run.
+//!    specs.
 //!
 //! Run with: `cargo run --release --example optimizer_service`
 
@@ -18,14 +16,11 @@ use joinopt_qgraph::bfs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. A mixed, multi-tenant batch. ------------------------------
-    let service = OptimizerService::new(ServiceConfig {
-        tenant_limit: 2,
-        ..ServiceConfig::default()
-    });
+    let service = OptimizerService::default();
     let workloads: Vec<_> = (0..4)
         .map(|i| workload::family_workload(GraphKind::ALL[i % 4], 7 + i % 2, i as u64))
         .collect();
-    let mut requests: Vec<ServiceRequest> = workloads
+    let requests: Vec<ServiceRequest> = workloads
         .iter()
         .enumerate()
         .map(|(i, w)| {
@@ -43,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let results = service.submit_batch(&requests, &NoopObserver);
     println!("batch of {} requests across two tenants:", results.len());
     for (i, r) in results.iter().enumerate() {
-        let r = r.as_ref().expect("all within limits");
+        let r = r.as_ref().expect("every family workload optimizes");
         println!(
             "  #{i}  tenant={}  algorithm={:?}  cost={:.6e}",
             requests[i].tenant, r.algorithm, r.result.cost
@@ -81,27 +76,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "cache: {} hits / {} misses / {} stores, {} bytes in {} entries",
         stats.hits, stats.misses, stats.stores, stats.bytes, stats.entries
     );
-
-    // --- 3. Admission control rejects in place. -----------------------
-    for _ in 0..3 {
-        requests.push(ServiceRequest::new(spec.clone()).with_tenant("alice"));
-    }
-    let alice: Vec<_> = requests
-        .iter()
-        .filter(|r| r.tenant == "alice")
-        .cloned()
-        .collect();
-    let results = service.submit_batch(&alice, &NoopObserver);
-    let rejected = results
-        .iter()
-        .filter(|r| matches!(r, Err(OptimizeError::TenantLimitExceeded { .. })))
-        .count();
-    println!(
-        "\ntenant `alice` sent {} requests against a limit of 2: {} rejected, {} answered",
-        alice.len(),
-        rejected,
-        alice.len() - rejected
-    );
-    assert_eq!(rejected, alice.len() - 2);
     Ok(())
 }

@@ -19,7 +19,6 @@ use std::time::Duration;
 
 use joinopt::cost::workload;
 use joinopt::prelude::*;
-use joinopt::service::server::algorithm_name;
 use joinopt::service::{clock_reads, Clock, Gateway, GatewayConfig};
 use joinopt::telemetry::{
     Fanout, RequestTrace, TraceIdMinter, TraceLog, TraceSink, WindowConfig, WindowedMetrics,
@@ -59,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .handle(&req, None, &mut session, &Fanout::new(&sinks))
             .map_err(|e| format!("{e:?}"))?;
         let mut trace = sink.into_trace();
-        trace.algorithm = Some(algorithm_name(outcome.algorithm));
+        trace.algorithm = Some(outcome.algorithm.wire_name());
         trace.cache_hit = Some(outcome.cache_hit);
         trace.finish("ok", gateway.clock().now_ns());
 
