@@ -121,6 +121,11 @@ RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
 echo "==> determinism matrix (parallel engine, release)"
 cargo test -p joinopt-core --test determinism --release --offline -q
 
+echo "==> star route: IKKBZ vs bushy DPccp on C_out stars (release)"
+# 280 stars (n = 3..16 x 20 seeds) plus a key/foreign-key star of 15;
+# the n = 15/16 DPccp references are quick in release.
+cargo test -p joinopt-core --test star_route --release --offline -q
+
 echo "==> performance baseline check (counters-only, hardware-independent)"
 # Replays the matrix pinned in BENCH_joinopt.json and fails on any
 # counter, table-size or cost-bit drift. Wall time and arena bytes are

@@ -107,7 +107,7 @@ fn main() {
                     .expect("valid")
                     .cost,
             );
-            if let Ok(r) = IkkBz.optimize(&w.graph, &w.catalog) {
+            if let Ok(r) = IkkBz.optimize(&w.graph, &w.catalog, &Cout) {
                 record(&mut ikkbz, r.cost);
             }
             record(

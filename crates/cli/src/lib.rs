@@ -147,10 +147,13 @@ USAGE:
   joinopt flame    <trace.jsonl> [--out PATH]
   joinopt help
 
-ALGORITHMS:  dpsize, dpsub, dpccp, dpconv, goo, auto (default),
+ALGORITHMS:  dpsize, dpsub, dpccp, dpconv, goo, ikkbz, auto (default),
              dpsize-naive, dpsub-nofilter, dpsub-cp
              (dpconv is exact for the cout model only and refuses
-             other models with a typed error)
+             other models with a typed error; ikkbz is the exact bushy
+             optimum only on cout stars, the left-deep optimum on
+             trees, and refuses cyclic graphs and other models; auto
+             picks it for cout stars of 12 or more relations)
 COST MODELS: cout (default), nlj, hash, smj, min
 FAMILIES:    chain, cycle, star, clique
 PARALLELISM: --threads N runs the DPsub family on N worker threads

@@ -4,7 +4,8 @@
 //! Comparison policy (what "agree" means, and why):
 //!
 //! * **Across algorithm families** (DPsize vs DPsub vs DPccp vs DPconv
-//!   vs top-down vs DPhyp vs the exhaustive oracle) the optimal *cost*
+//!   vs top-down vs DPhyp vs the exhaustive oracle, and IKKBZ on stars,
+//!   where its left-deep order is the bushy optimum) the optimal *cost*
 //!   must agree within a `1e-9` relative tolerance. The algorithms sum
 //!   the same per-plan terms in different orders, so the last few bits
 //!   may legitimately differ; anything beyond rounding noise is a bug.
@@ -252,6 +253,33 @@ pub fn check_instance(
         ));
     }
 
+    //    On a star IKKBZ's left-deep rank sort is the bushy optimum
+    //    under `C_out` (the `Auto` route for large stars), so it must
+    //    agree with DPccp at every size, not only above the route's
+    //    floor.
+    if n >= 3 && is_star(g) {
+        let ikkbz = OptimizeRequest::new(g, &inst.catalog)
+            .with_algorithm(Algorithm::IkkBz)
+            .run()
+            .map(|outcome| outcome.result)
+            .map_err(|e| {
+                diverge(
+                    "optimizer-error",
+                    format!("{}: IKKBZ failed on a star: {e}", inst.name),
+                )
+            })?;
+        validate_tree(inst, &ikkbz.tree, "IKKBZ", true)?;
+        if !costs_agree(ikkbz.cost, reference.cost) {
+            return Err(diverge(
+                "optimal-cost",
+                format!(
+                    "{}: IKKBZ found cost {:e} on a star but DPccp found {:e}",
+                    inst.name, ikkbz.cost, reference.cost
+                ),
+            ));
+        }
+    }
+
     // 6. The structurally independent exhaustive oracle, for small n.
     if n <= EXHAUSTIVE_MAX_N {
         let exact = exhaustive::optimal_cost(g, &inst.catalog, &Cout).map_err(|e| {
@@ -289,6 +317,13 @@ pub fn check_instance(
 
     // 7. Counter cross-validation against the Section 2.3.2 analysis.
     check_counters(inst, &results)
+}
+
+/// Whether `g` is a star: a tree with one relation adjacent to all
+/// others.
+fn is_star(g: &QueryGraph) -> bool {
+    let n = g.num_relations();
+    g.num_edges() + 1 == n && (0..n).any(|v| g.neighbors(v).len() + 1 == n)
 }
 
 /// n = 1: every algorithm returns the lone scan at zero cost.

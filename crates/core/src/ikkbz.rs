@@ -21,20 +21,29 @@
 //! giving a polynomial and an exponential implementation that
 //! cross-validate each other.
 
-use joinopt_cost::{CardinalityEstimator, Catalog, CostModel as _, Cout, PlanStats};
+use joinopt_cost::{CardinalityEstimator, Catalog, CostModel, PlanStats};
 use joinopt_plan::PlanArena;
 use joinopt_qgraph::{QueryGraph, QueryGraphError};
 use joinopt_relset::{RelIdx, RelSet};
-use joinopt_telemetry::{NoopObserver, Observer};
+use joinopt_telemetry::Observer;
 
+use crate::cancel::CancellationToken;
 use crate::counters::Counters;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
-use crate::result::DpResult;
+use crate::result::{DpResult, JoinOrderer};
 
 /// The IKKBZ optimizer. Only valid for acyclic (tree) query graphs and
-/// the ASI cost function `C_out`; it is therefore not a general
-/// [`JoinOrderer`](crate::JoinOrderer) but a standalone entry point.
+/// `C_out`-shaped cost models (the ASI property the rank sort relies
+/// on); it refuses anything else with a typed error.
+///
+/// On a *star* the left-deep optimum it finds is also the bushy
+/// optimum: a connected set of a star with two or more relations holds
+/// the hub, so of two disjoint connected sets at most one is larger than
+/// a single satellite. Every cross-product-free bushy tree therefore
+/// adds one satellite at a time to the set holding the hub, and under
+/// the symmetric `C_out` that is a left-deep order. `Auto` relies on this (see
+/// [`Algorithm::IKKBZ_STAR_MIN_RELATIONS`](crate::Algorithm::IKKBZ_STAR_MIN_RELATIONS)).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IkkBz;
 
@@ -69,36 +78,42 @@ impl Module {
     }
 }
 
-impl IkkBz {
-    /// Algorithm name, as used in reports.
-    pub fn name(&self) -> &'static str {
+impl JoinOrderer for IkkBz {
+    fn name(&self) -> &'static str {
         "IKKBZ"
     }
 
     /// Computes the optimal left-deep, cross-product-free join order for
-    /// an acyclic query graph under the `C_out` cost model.
+    /// an acyclic query graph under a `C_out`-shaped model, polling
+    /// `ctl` before the work and once per candidate root.
     ///
     /// # Errors
     ///
     /// * [`OptimizeError::EmptyQuery`] for zero relations;
+    /// * [`OptimizeError::UnsupportedCostModel`] for a model that is not
+    ///   `C_out`-shaped;
     /// * [`OptimizeError::Graph`] for disconnected **or cyclic** graphs
-    ///   (IKKBZ requires a tree).
-    pub fn optimize(&self, g: &QueryGraph, catalog: &Catalog) -> Result<DpResult, OptimizeError> {
-        self.optimize_observed(g, catalog, &NoopObserver)
-    }
-
-    /// [`IkkBz::optimize`] with telemetry (span granularity).
-    pub fn optimize_observed(
+    ///   (IKKBZ requires a tree);
+    /// * the budget and cancellation errors of [`CancellationToken`].
+    fn optimize_controlled(
         &self,
         g: &QueryGraph,
         catalog: &Catalog,
+        model: &dyn CostModel,
         obs: &dyn Observer,
+        ctl: &CancellationToken,
     ) -> Result<DpResult, OptimizeError> {
         let spans = Spans::start(obs, self.name(), g.num_relations());
         spans.begin("init");
         let n = g.num_relations();
         if n == 0 {
             return Err(OptimizeError::EmptyQuery);
+        }
+        if !model.is_cout_shaped() {
+            return Err(OptimizeError::UnsupportedCostModel {
+                algorithm: self.name(),
+                model: model.name(),
+            });
         }
         g.require_connected()?;
         if g.num_edges() != n - 1 {
@@ -108,6 +123,7 @@ impl IkkBz {
                 what: "IKKBZ precedence tree (query graph must be acyclic)",
             }));
         }
+        ctl.check()?;
         let est = CardinalityEstimator::new(g, catalog)?;
         spans.end("init");
 
@@ -115,8 +131,9 @@ impl IkkBz {
         let mut best_order: Option<(Vec<RelIdx>, f64)> = None;
         let mut counters = Counters::new();
         for root in 0..n {
+            ctl.check()?;
             let order = order_for_root(g, catalog, root, &mut counters);
-            let cost = left_deep_cost(g, &est, &order);
+            let cost = left_deep_cost(g, &est, model, &order);
             if best_order.as_ref().is_none_or(|(_, c)| cost < *c) {
                 best_order = Some((order, cost));
             }
@@ -143,7 +160,7 @@ impl IkkBz {
                 set,
                 RelSet::single(rel),
             );
-            let cost = Cout.join_cost(&stats, &right_stats, out);
+            let cost = model.join_cost(&stats, &right_stats, out);
             stats = PlanStats {
                 cardinality: out,
                 cost,
@@ -151,6 +168,7 @@ impl IkkBz {
             plan = arena.add_join(plan, right, stats);
             set.insert(rel);
         }
+        ctl.charge(arena.bytes())?;
         let tree = arena.extract(plan);
         spans.end("extract");
         spans.arena_stats(&arena);
@@ -276,8 +294,14 @@ fn merge_by_rank(chains: Vec<Vec<Module>>, counters: &mut Counters) -> Vec<Modul
     }
 }
 
-/// `C_out` cost of joining `order` left-deep (no plan materialization).
-fn left_deep_cost(g: &QueryGraph, est: &CardinalityEstimator, order: &[RelIdx]) -> f64 {
+/// Cost of joining `order` left-deep under `model` (no plan
+/// materialization).
+fn left_deep_cost(
+    g: &QueryGraph,
+    est: &CardinalityEstimator,
+    model: &dyn CostModel,
+    order: &[RelIdx],
+) -> f64 {
     let mut set = RelSet::single(order[0]);
     let mut stats = PlanStats::base(est.base_cardinality(order[0]));
     for &rel in &order[1..] {
@@ -292,7 +316,7 @@ fn left_deep_cost(g: &QueryGraph, est: &CardinalityEstimator, order: &[RelIdx]) 
             set,
             RelSet::single(rel),
         );
-        let cost = Cout.join_cost(&stats, &right, out);
+        let cost = model.join_cost(&stats, &right, out);
         stats = PlanStats {
             cardinality: out,
             cost,
@@ -305,8 +329,8 @@ fn left_deep_cost(g: &QueryGraph, est: &CardinalityEstimator, order: &[RelIdx]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DpSizeLeftDeep, JoinOrderer};
-    use joinopt_cost::{workload, Cout};
+    use crate::{Algorithm, CancelFlag, DpSizeLeftDeep, OptimizeRequest};
+    use joinopt_cost::{workload, Cout, HashJoin};
     use joinopt_qgraph::{generators, GraphKind};
     use joinopt_relset::XorShift64;
 
@@ -316,7 +340,7 @@ mod tests {
             for n in 2..=10 {
                 for seed in 0..3 {
                     let w = workload::family_workload(kind, n, seed);
-                    let ik = IkkBz.optimize(&w.graph, &w.catalog).unwrap();
+                    let ik = IkkBz.optimize(&w.graph, &w.catalog, &Cout).unwrap();
                     let dp = DpSizeLeftDeep
                         .optimize(&w.graph, &w.catalog, &Cout)
                         .unwrap();
@@ -342,7 +366,7 @@ mod tests {
                 joinopt_cost::workload::StatsRanges::default(),
                 &mut rng,
             );
-            let ik = IkkBz.optimize(&g, &cat).unwrap();
+            let ik = IkkBz.optimize(&g, &cat, &Cout).unwrap();
             let dp = DpSizeLeftDeep.optimize(&g, &cat, &Cout).unwrap();
             let tol = 1e-9 * dp.cost.abs().max(1.0);
             assert!(
@@ -360,7 +384,7 @@ mod tests {
         let g = generators::random_tree(12, &mut rng).unwrap();
         let cat =
             workload::random_catalog(&g, joinopt_cost::workload::StatsRanges::default(), &mut rng);
-        let r = IkkBz.optimize(&g, &cat).unwrap();
+        let r = IkkBz.optimize(&g, &cat, &Cout).unwrap();
         assert!(r.tree.is_left_deep());
         assert_eq!(r.tree.relations(), g.all_relations());
         assert_eq!(r.tree.cost(), r.cost);
@@ -371,28 +395,62 @@ mod tests {
         let g = generators::cycle(5).unwrap();
         let cat = Catalog::new(&g);
         assert!(matches!(
-            IkkBz.optimize(&g, &cat),
+            IkkBz.optimize(&g, &cat, &Cout),
             Err(OptimizeError::Graph(_))
         ));
         let clique = generators::clique(4).unwrap();
-        assert!(IkkBz.optimize(&clique, &Catalog::new(&clique)).is_err());
+        assert!(IkkBz
+            .optimize(&clique, &Catalog::new(&clique), &Cout)
+            .is_err());
+    }
+
+    #[test]
+    fn refuses_models_without_the_asi_shape() {
+        let w = workload::family_workload(GraphKind::Star, 6, 1);
+        assert!(matches!(
+            IkkBz.optimize(&w.graph, &w.catalog, &HashJoin),
+            Err(OptimizeError::UnsupportedCostModel {
+                algorithm: "IKKBZ",
+                model: "HashJoin"
+            })
+        ));
+    }
+
+    #[test]
+    fn honours_time_budgets_and_cancellation() {
+        let w = workload::family_workload(GraphKind::Star, 14, 2);
+        let request =
+            || OptimizeRequest::new(&w.graph, &w.catalog).with_algorithm(Algorithm::IkkBz);
+        assert!(matches!(
+            request().with_time_budget(std::time::Duration::ZERO).run(),
+            Err(OptimizeError::TimeBudgetExceeded { .. })
+        ));
+        let flag = CancelFlag::new();
+        flag.cancel();
+        assert!(matches!(
+            request().with_cancel_flag(flag).run(),
+            Err(OptimizeError::Cancelled)
+        ));
+        let outcome = request().run().unwrap();
+        assert_eq!(outcome.algorithm, Algorithm::IkkBz);
+        assert_eq!(outcome.result.tree.relations(), w.graph.all_relations());
     }
 
     #[test]
     fn rejects_empty_and_disconnected() {
         let g = QueryGraph::new(0).unwrap();
-        assert!(IkkBz.optimize(&g, &Catalog::new(&g)).is_err());
+        assert!(IkkBz.optimize(&g, &Catalog::new(&g), &Cout).is_err());
         let disc = QueryGraph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        assert!(IkkBz.optimize(&disc, &Catalog::new(&disc)).is_err());
+        assert!(IkkBz.optimize(&disc, &Catalog::new(&disc), &Cout).is_err());
     }
 
     #[test]
     fn single_relation_and_single_edge() {
         let w = workload::family_workload(GraphKind::Chain, 1, 0);
-        let r = IkkBz.optimize(&w.graph, &w.catalog).unwrap();
+        let r = IkkBz.optimize(&w.graph, &w.catalog, &Cout).unwrap();
         assert_eq!(r.tree.num_joins(), 0);
         let w2 = workload::family_workload(GraphKind::Chain, 2, 0);
-        let r2 = IkkBz.optimize(&w2.graph, &w2.catalog).unwrap();
+        let r2 = IkkBz.optimize(&w2.graph, &w2.catalog, &Cout).unwrap();
         assert_eq!(r2.tree.num_joins(), 1);
     }
 
@@ -402,7 +460,7 @@ mod tests {
         // in debug mode; IKKBZ is instant.
         let w = workload::family_workload(GraphKind::Chain, 60, 3);
         let start = std::time::Instant::now();
-        let r = IkkBz.optimize(&w.graph, &w.catalog).unwrap();
+        let r = IkkBz.optimize(&w.graph, &w.catalog, &Cout).unwrap();
         assert!(start.elapsed().as_millis() < 2000, "{:?}", start.elapsed());
         assert_eq!(r.tree.num_relations(), 60);
     }

@@ -1,7 +1,7 @@
 //! [`Algorithm`]: the algorithm catalogue and adaptive (`Auto`) selection.
 
 use joinopt_cost::CostModel;
-use joinopt_qgraph::QueryGraph;
+use joinopt_qgraph::{QueryGraph, RelIdx};
 
 use crate::annealing::SimulatedAnnealing;
 use crate::dpccp::DpCcp;
@@ -10,6 +10,7 @@ use crate::dpsize::{DpSize, DpSizeNaive};
 use crate::dpsub::{DpSub, DpSubCrossProducts, DpSubUnfiltered};
 use crate::greedy::Goo;
 use crate::idp::Idp;
+use crate::ikkbz::IkkBz;
 use crate::leftdeep::DpSizeLeftDeep;
 use crate::result::JoinOrderer;
 use crate::topdown::TopDown;
@@ -43,13 +44,19 @@ pub enum Algorithm {
     TopDown,
     /// Greedy Operator Ordering (non-optimal baseline).
     Goo,
-    /// Adapt to the query graph (see [`Algorithm::select_auto_from_counts`]).
+    /// IKKBZ rank sort: the optimal left-deep order of an acyclic query
+    /// under `C_out`, which on a star is also the bushy optimum (see
+    /// [`Algorithm::IKKBZ_STAR_MIN_RELATIONS`]). Refuses cyclic graphs
+    /// and non-`C_out` models.
+    IkkBz,
+    /// Adapt to the query graph (see [`Algorithm::select_auto_from_edges`]).
     #[default]
     Auto,
 }
 
 impl Algorithm {
-    /// All concrete (non-`Auto`) algorithms.
+    /// The concrete algorithms that plan every connected graph: all but
+    /// `Auto` and [`Algorithm::IkkBz`], which needs a tree.
     pub const CONCRETE: [Algorithm; 12] = [
         Algorithm::DpSize,
         Algorithm::DpSizeNaive,
@@ -81,30 +88,56 @@ impl Algorithm {
     /// `docs/ALGORITHMS.md` §7 for the measured data).
     pub const DPCONV_MIN_RELATIONS: usize = 12;
 
+    /// Smallest star at which `Auto` sends a `C_out` query to
+    /// [`IkkBz`] instead of DPccp.
+    ///
+    /// On a star every cross-product-free bushy tree adds one satellite
+    /// at a time to the set holding the hub, so the bushy optimum is an
+    /// order of the satellites, and under the ASI cost function `C_out`
+    /// IKKBZ's rank sort finds it exactly. DPccp still pays its
+    /// `(n − 1)·2ⁿ⁻²` csg-cmp pairs for the same answer. The measured
+    /// crossover is near n = 8; below this floor both finish in under
+    /// 0.25 ms, so the smaller stars keep DPccp, its `#ccp` counters and
+    /// its DP decision table (see `docs/ALGORITHMS.md` §8 for the
+    /// measured times).
+    pub const IKKBZ_STAR_MIN_RELATIONS: usize = 12;
+
     /// Resolves `Auto` for a given graph and `threads` available worker
     /// threads, blind to the cost model: the DPsub/DPccp pair only.
     ///
-    /// See [`Algorithm::select_auto_from_counts`] for the policy.
+    /// See [`Algorithm::select_auto_from_edges`] for the policy.
     pub fn select_auto_with_parallelism(g: &QueryGraph, threads: usize) -> Algorithm {
-        Algorithm::select_auto_from_counts(g.num_relations(), g.num_edges(), threads, None)
+        Algorithm::select_auto_from_edges(
+            g.num_relations(),
+            g.edges().iter().map(|e| (e.u, e.v)),
+            threads,
+            None,
+        )
     }
 
     /// Resolves `Auto` for a given graph, thread count *and* cost model
     /// — the resolution [`crate::OptimizeRequest`] uses.
     ///
-    /// See [`Algorithm::select_auto_from_counts`] for the policy.
+    /// See [`Algorithm::select_auto_from_edges`] for the policy.
     pub fn select_auto_with_model(
         g: &QueryGraph,
         threads: usize,
         model: &dyn CostModel,
     ) -> Algorithm {
-        Algorithm::select_auto_from_counts(g.num_relations(), g.num_edges(), threads, Some(model))
+        Algorithm::select_auto_from_edges(
+            g.num_relations(),
+            g.edges().iter().map(|e| (e.u, e.v)),
+            threads,
+            Some(model),
+        )
     }
 
-    /// The `Auto` policy, over the query's relation and edge counts so a
-    /// caller holding only an owned description (the service's cache
-    /// path) resolves without instantiating a graph. Every other
-    /// resolution in the workspace calls this one.
+    /// The `Auto` policy, over the query's relation count and edge list
+    /// so a caller holding only an owned description (the service's
+    /// cache path) resolves without instantiating a graph. Every other
+    /// resolution in the workspace calls this one. The edge endpoints
+    /// are consumed only for a `C_out` query shaped like a large star;
+    /// every other query reads just the iterator's length.
     ///
     /// The paper's evaluation shows DPccp is the best or near-best choice
     /// everywhere; its only (bounded, ≤ 30 %) loss is against DPsub on
@@ -126,24 +159,39 @@ impl Algorithm {
     /// | ≥ 4     | 70 %      |
     ///
     /// Queries too large for DPsub's direct-addressed tables
-    /// (`n >` [`crate::table::DenseDpTable::MAX_RELATIONS`]) always
-    /// resolve to DPccp — at that size DPsub's `Θ(3ⁿ)` enumeration is
-    /// hopeless no matter how many threads are available.
+    /// (`n >` [`crate::table::DenseDpTable::MAX_RELATIONS`]) resolve to
+    /// DPccp — at that size DPsub's `Θ(3ⁿ)` enumeration is hopeless no
+    /// matter how many threads are available.
     ///
-    /// The one choice that depends on the cost model: on dense graphs of
-    /// [`Algorithm::DPCONV_MIN_RELATIONS`] or more relations where
-    /// `model` is `C_out`-shaped ([`CostModel::is_cout_shaped`]), the
-    /// subset-convolution engine [`DpConv`] replaces DPsub. The guard on
-    /// the model is load-bearing: DPconv refuses non-`C_out` models with
-    /// a typed error, so `Auto` must never route a `HashJoin`-costed
-    /// query to it. `model: None` leaves DPconv out entirely.
-    pub fn select_auto_from_counts(
+    /// Two choices depend on the cost model, and `model: None` leaves
+    /// both out. Where `model` is `C_out`-shaped
+    /// ([`CostModel::is_cout_shaped`]):
+    ///
+    /// * a star of [`Algorithm::IKKBZ_STAR_MIN_RELATIONS`] or more
+    ///   relations, at any size, resolves to [`IkkBz`], which is exact
+    ///   there;
+    /// * a dense graph of [`Algorithm::DPCONV_MIN_RELATIONS`] or more
+    ///   relations resolves to the subset-convolution engine [`DpConv`]
+    ///   in place of DPsub.
+    ///
+    /// The guard on the model is load-bearing: both engines refuse
+    /// non-`C_out` models with a typed error, so `Auto` must never route
+    /// a `HashJoin`-costed query to them.
+    pub fn select_auto_from_edges(
         relations: usize,
-        edges: usize,
+        edges: impl ExactSizeIterator<Item = (RelIdx, RelIdx)>,
         threads: usize,
         model: Option<&dyn CostModel>,
     ) -> Algorithm {
         let n = relations;
+        let m = edges.len();
+        if m + 1 == n
+            && n >= Algorithm::IKKBZ_STAR_MIN_RELATIONS
+            && model.is_some_and(|c| c.is_cout_shaped())
+            && has_star_hub(n, edges)
+        {
+            return Algorithm::IkkBz;
+        }
         if !(2..=crate::parallel::MAX_ENGINE_RELATIONS).contains(&n) {
             return Algorithm::DpCcp;
         }
@@ -152,10 +200,10 @@ impl Algorithm {
             2 | 3 => 80,
             _ => 70,
         };
-        if 100 * edges < threshold_pct * (n * (n - 1) / 2) {
+        if 100 * m < threshold_pct * (n * (n - 1) / 2) {
             return Algorithm::DpCcp;
         }
-        if n >= Algorithm::DPCONV_MIN_RELATIONS && model.is_some_and(|m| m.is_cout_shaped()) {
+        if n >= Algorithm::DPCONV_MIN_RELATIONS && model.is_some_and(|c| c.is_cout_shaped()) {
             return Algorithm::DpConv;
         }
         Algorithm::DpSub
@@ -192,6 +240,7 @@ impl Algorithm {
                 &DEFAULT_TD
             }
             Algorithm::Goo => &Goo,
+            Algorithm::IkkBz => &IkkBz,
             Algorithm::Auto => Algorithm::select_auto_with_parallelism(g, 1).orderer(g),
         }
     }
@@ -212,6 +261,7 @@ impl Algorithm {
             Algorithm::SimulatedAnnealing => "sa",
             Algorithm::TopDown => "topdown",
             Algorithm::Goo => "goo",
+            Algorithm::IkkBz => "ikkbz",
             Algorithm::Auto => "auto",
         }
     }
@@ -226,9 +276,31 @@ impl Algorithm {
         }
         Algorithm::CONCRETE
             .into_iter()
-            .chain([Algorithm::Auto])
+            .chain([Algorithm::IkkBz, Algorithm::Auto])
             .find(|a| a.wire_name().eq_ignore_ascii_case(s))
     }
+}
+
+/// Whether `n − 1` distinct edges over `n` relations form a star: one
+/// relation touches all of them. Query graphs hold no duplicate edges or
+/// self-loops, so a relation of degree `n − 1` is a hub every edge meets.
+fn has_star_hub(n: usize, edges: impl Iterator<Item = (RelIdx, RelIdx)>) -> bool {
+    let mut degree = [0u8; 64];
+    if n > degree.len() {
+        return false;
+    }
+    for (u, v) in edges {
+        for x in [u, v] {
+            let Some(d) = degree.get_mut(x) else {
+                return false;
+            };
+            *d += 1;
+            if usize::from(*d) == n - 1 {
+                return true;
+            }
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -376,9 +448,55 @@ mod tests {
         }
         assert_eq!(Algorithm::parse("AUTO"), Some(Algorithm::Auto));
         assert_eq!(Algorithm::parse("simulated-annealing"), None);
-        for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Auto]) {
+        for alg in Algorithm::CONCRETE
+            .into_iter()
+            .chain([Algorithm::IkkBz, Algorithm::Auto])
+        {
             assert_eq!(Algorithm::parse(alg.wire_name()), Some(alg), "{alg:?}");
         }
+        assert_eq!(Algorithm::parse("IKKBZ"), Some(Algorithm::IkkBz));
+        assert!(!Algorithm::CONCRETE.contains(&Algorithm::IkkBz));
+    }
+
+    #[test]
+    fn auto_routes_large_cout_stars_to_ikkbz() {
+        let star = |n| generators::star(n).unwrap();
+        let floor = Algorithm::IKKBZ_STAR_MIN_RELATIONS;
+        // (graph, model, expected): the floor, above the dense-table cap,
+        // the model guard, and a tree that is not a star.
+        // A 14-relation tree whose widest node misses one relation.
+        let not_a_star =
+            QueryGraph::from_edges(14, (1..13).map(|s| (0, s)).chain([(12, 13)])).unwrap();
+        let table: [(QueryGraph, &dyn CostModel, Algorithm); 6] = [
+            (star(floor - 1), &Cout, Algorithm::DpCcp),
+            (star(floor), &Cout, Algorithm::IkkBz),
+            (star(30), &Cout, Algorithm::IkkBz),
+            (star(14), &HashJoin, Algorithm::DpCcp),
+            (not_a_star, &Cout, Algorithm::DpCcp),
+            (generators::chain(14).unwrap(), &Cout, Algorithm::DpCcp),
+        ];
+        for (g, model, want) in &table {
+            let n = g.num_relations();
+            assert_eq!(
+                Algorithm::select_auto_with_model(g, 1, *model),
+                *want,
+                "n={n} {}",
+                model.name()
+            );
+            // The model-blind resolution never picks IKKBZ, and neither
+            // does the sequential `Auto` orderer.
+            assert_ne!(
+                Algorithm::select_auto_with_parallelism(g, 1),
+                Algorithm::IkkBz
+            );
+            assert_ne!(Algorithm::Auto.orderer(g).name(), "IKKBZ");
+        }
+        // The hub's label does not matter.
+        let relabeled = QueryGraph::from_edges(12, (0..11).map(|s| (s, 11))).unwrap();
+        assert_eq!(
+            Algorithm::select_auto_with_model(&relabeled, 1, &Cout),
+            Algorithm::IkkBz
+        );
     }
 
     #[test]

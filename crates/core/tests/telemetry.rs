@@ -447,6 +447,36 @@ fn unobserved_pooled_dpccp_reads_no_clocks_and_matches_the_sparse_run() {
     }
 }
 
+#[test]
+fn unobserved_ikkbz_reads_no_clocks_and_matches_the_observed_run() {
+    let _serial = ENGINE_CLOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let w = workload::family_workload(GraphKind::Star, 14, 0);
+    let run = |obs: &dyn Observer| {
+        OptimizeRequest::new(&w.graph, &w.catalog)
+            .with_observer(obs)
+            .run()
+            .unwrap()
+    };
+    let metrics = MetricsCollector::new();
+    let observed = run(&metrics);
+    assert_eq!(observed.algorithm, Algorithm::IkkBz);
+    let before = engine_clock_reads();
+    let plain = run(&NoopObserver);
+    assert_eq!(
+        engine_clock_reads() - before,
+        0,
+        "unobserved IKKBZ run read the profiling clock"
+    );
+    assert_eq!(plain.algorithm, Algorithm::IkkBz);
+    let (plain, observed) = (plain.into_result(), observed.into_result());
+    assert_eq!(plain.cost.to_bits(), observed.cost.to_bits());
+    assert_eq!(plain.tree, observed.tree);
+    assert_eq!(plain.counters, observed.counters);
+    let report = metrics.report();
+    assert_eq!(report.algorithm, "IKKBZ");
+    assert_eq!(report.counter_inner, plain.counters.inner);
+}
+
 /// (level, worker, thread_id, sets, service_ns, inner, pairs)
 type ChunkSample = (usize, usize, u64, usize, u64, u64, u64);
 /// (level, workers, max_service_ns, total_service_ns, idle_ns)

@@ -424,6 +424,11 @@ impl Server {
 }
 
 /// One connection's read → dispatch → respond loop.
+///
+/// Lines are read as bytes: a read that times out mid-line keeps what
+/// it has (even half of a multi-byte character) and the next poll
+/// completes it, and a line that is not UTF-8 gets a typed `parse`
+/// error while the connection stays open for the lines behind it.
 fn serve_connection(
     gateway: &Gateway,
     telemetry: &ServeTelemetry,
@@ -435,23 +440,32 @@ fn serve_connection(
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
     let mut session: Option<Session> = None;
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
         // Close idle connections once draining; a partially read
         // request (non-empty buffer) is always completed and answered.
         if shutdown.load(Ordering::SeqCst) && line.is_empty() {
             return Ok(());
         }
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => return Ok(()), // client closed
             Ok(_) => {
-                let text = line.trim().to_string();
+                let reply = match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => None,
+                    Ok(text) => Some(dispatch(
+                        gateway,
+                        telemetry,
+                        shutdown,
+                        text.trim(),
+                        &mut session,
+                        obs,
+                    )),
+                    Err(e) => Some((not_utf8_response(&line, &e), false)),
+                };
                 line.clear();
-                if text.is_empty() {
+                let Some((response, is_shutdown)) = reply else {
                     continue;
-                }
-                let (response, is_shutdown) =
-                    dispatch(gateway, telemetry, shutdown, &text, &mut session, obs);
+                };
                 writer.write_all(response.as_bytes())?;
                 writer.write_all(b"\n")?;
                 writer.flush()?;
@@ -466,6 +480,27 @@ fn serve_connection(
             Err(_) => return Ok(()), // connection torn down
         }
     }
+}
+
+/// The typed `parse` error for a request line that is not UTF-8,
+/// echoing whatever `id`/`trace_id` survive a lossy decode.
+fn not_utf8_response(line: &[u8], e: &std::str::Utf8Error) -> String {
+    let text = String::from_utf8_lossy(line);
+    // A field the lossy decode had to patch is not the client's value.
+    let salvage =
+        |key| salvage_str_field(&text, key).filter(|v| !v.contains(char::REPLACEMENT_CHARACTER));
+    let id = salvage("id");
+    let trace_id = salvage("trace_id");
+    let echo = Echo {
+        id: id.as_deref(),
+        trace_id: trace_id.as_deref(),
+    };
+    error_response(
+        "?",
+        echo,
+        "parse",
+        &format!("request line is not valid UTF-8 (byte {})", e.valid_up_to()),
+    )
 }
 
 /// The correlation fields every response echoes back: the client's
@@ -1410,6 +1445,79 @@ mod tests {
         assert!(summary.drained);
         assert!(!sock.exists(), "socket file cleaned up");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sends `chunks` over one raw TCP connection, pausing longer than
+    /// the server's read poll between them, and returns the first
+    /// `responses` lines the server writes back.
+    fn send_raw(addr: SocketAddr, chunks: &[&[u8]], responses: usize) -> Vec<JsonValue> {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        for (i, chunk) in chunks.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(POLL * 5);
+            }
+            writer.write_all(chunk).unwrap();
+            writer.flush().unwrap();
+        }
+        let mut reader = BufReader::new(stream);
+        (0..responses)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                JsonValue::parse(line.trim()).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_gets_a_typed_error_and_the_rest_are_answered() {
+        let (handle, addr) = start_default();
+        let lines: &[u8] = b"{\"verb\":\"health\",\"id\":\"a\"}\n\
+                             {\"verb\":\"health\",\"id\":\"b\",\"x\":\"\xFF\"}\n\
+                             {\"verb\":\"health\",\"id\":\"c\"}\n";
+        let got = send_raw(addr, &[lines], 3);
+        let field = |r: &JsonValue, k: &str| r.get(k).and_then(|v| v.as_str()).map(str::to_string);
+        assert_eq!(field(&got[0], "status").as_deref(), Some("ok"));
+        assert_eq!(field(&got[0], "id").as_deref(), Some("a"));
+        assert_eq!(field(&got[1], "status").as_deref(), Some("error"));
+        assert_eq!(field(&got[1], "error_type").as_deref(), Some("parse"));
+        assert_eq!(field(&got[1], "id").as_deref(), Some("b"));
+        assert_eq!(field(&got[2], "status").as_deref(), Some("ok"));
+        assert_eq!(field(&got[2], "id").as_deref(), Some("c"));
+        LineClient::connect(addr)
+            .unwrap()
+            .call("{\"verb\":\"shutdown\"}")
+            .unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_character_split_across_reads_survives_the_poll_timeout() {
+        let (handle, addr) = start_default();
+        let mut req = String::from("{\"verb\":\"optimize\",\"id\":\"caf\u{e9}\",\"query\":");
+        write_escaped(&mut req, &chain4_text());
+        req.push_str("}\n");
+        let bytes = req.as_bytes();
+        // Split between the two bytes of `é` (0xC3 0xA9).
+        let split = req.find('\u{e9}').unwrap() + 1;
+        let got = send_raw(addr, &[&bytes[..split], &bytes[split..]], 1);
+        assert_eq!(
+            got[0].get("status").unwrap().as_str(),
+            Some("ok"),
+            "{:?}",
+            got[0]
+        );
+        assert_eq!(got[0].get("id").unwrap().as_str(), Some("caf\u{e9}"));
+        assert_eq!(got[0].get("relations").unwrap().as_u64(), Some(4));
+        LineClient::connect(addr)
+            .unwrap()
+            .call("{\"verb\":\"shutdown\"}")
+            .unwrap();
+        handle.join().unwrap().unwrap();
     }
 
     #[test]

@@ -444,13 +444,13 @@ impl OptimizerService {
         let model = req.cost_model.model();
         let model_id = req.cost_model.name();
 
-        // Resolve `Auto` from the spec's counts with the core policy at
-        // one intra-query thread, so the cache key is concrete and a hit
-        // never instantiates the graph.
+        // Resolve `Auto` from the spec's edge list with the core policy
+        // at one intra-query thread, so the cache key is concrete and a
+        // hit never instantiates the graph.
         let algorithm = if req.algorithm == Algorithm::Auto {
-            Algorithm::select_auto_from_counts(
+            Algorithm::select_auto_from_edges(
                 req.spec.num_relations(),
-                req.spec.num_edges(),
+                req.spec.edges().iter().copied(),
                 1,
                 Some(model),
             )
@@ -667,8 +667,65 @@ mod tests {
     }
 
     #[test]
+    fn large_cout_stars_are_served_by_ikkbz_and_cached() {
+        // The conformance oracle's cross-family cost tolerance.
+        const COST_TOLERANCE: f64 = 1e-9;
+        let service = OptimizerService::default();
+        let mut session = None;
+        let mut submit = |req: &ServiceRequest| {
+            service
+                .submit_one(req, &mut session, &NoopObserver)
+                .unwrap()
+        };
+        let w = workload::family_workload(GraphKind::Star, 14, 5);
+        let star = QuerySpec::capture(&w.graph, &w.catalog).unwrap();
+        let served = submit(&ServiceRequest::new(star.clone()));
+        assert_eq!(served.algorithm, Algorithm::IkkBz);
+        assert!(!served.cache_hit);
+        let dpccp = submit(&ServiceRequest::new(star.clone()).with_algorithm(Algorithm::DpCcp));
+        assert_eq!(dpccp.algorithm, Algorithm::DpCcp);
+        let (a, b) = (served.result.cost, dpccp.result.cost);
+        assert!(
+            (a - b).abs() <= COST_TOLERANCE * a.abs().max(b.abs()).max(1.0),
+            "IKKBZ {a} vs DPccp {b}"
+        );
+
+        // A relabeled copy (hub moved to the end, satellites reversed)
+        // hits the IKKBZ entry.
+        let order: Vec<usize> = (0..14).rev().collect();
+        let graph = joinopt_qgraph::bfs::renumber(&w.graph, &order);
+        let mut catalog = joinopt_cost::Catalog::with_shape(14, graph.num_edges());
+        for (new, &old) in order.iter().enumerate() {
+            catalog
+                .set_cardinality(new, w.catalog.cardinality(old))
+                .unwrap();
+        }
+        for e in 0..graph.num_edges() {
+            catalog
+                .set_selectivity(e, w.catalog.selectivity(e))
+                .unwrap();
+        }
+        let relabeled = QuerySpec::capture(&graph, &catalog).unwrap();
+        assert_ne!(relabeled, star);
+        let hit = submit(&ServiceRequest::new(relabeled));
+        assert!(hit.cache_hit);
+        assert_eq!(hit.algorithm, Algorithm::IkkBz);
+        assert!((hit.result.cost - a).abs() <= COST_TOLERANCE * a.abs().max(1.0));
+
+        // Other models and smaller stars keep DPccp.
+        let hash = submit(&ServiceRequest::new(star).with_cost_model(CostModelId::HashJoin));
+        assert_eq!(hash.algorithm, Algorithm::DpCcp);
+        let small = submit(&ServiceRequest::new(spec(
+            GraphKind::Star,
+            Algorithm::IKKBZ_STAR_MIN_RELATIONS - 1,
+            5,
+        )));
+        assert_eq!(small.algorithm, Algorithm::DpCcp);
+    }
+
+    #[test]
     fn auto_resolves_like_the_library_at_one_thread() {
-        // The serve path resolves `Auto` from the spec's counts; it must
+        // The serve path resolves `Auto` from the spec's edge list; it must
         // land on the algorithm a one-thread `OptimizeRequest` picks for
         // the instantiated graph under the same cost model.
         let mut rng = joinopt_relset::XorShift64::seed_from_u64(13);

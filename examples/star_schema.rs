@@ -6,7 +6,9 @@
 //! A fact table is joined with `n − 1` dimension tables; every join
 //! predicate touches the fact table, so the query graph is a star. This
 //! example optimizes a 15-way star with all three algorithms, showing
-//! identical optimal plans but wildly different enumeration effort.
+//! identical optimal plans but wildly different enumeration effort, and
+//! then with `Auto`, which resolves a `C_out` star of this size to
+//! IKKBZ's polynomial rank sort — exact on stars (docs/ALGORITHMS.md §8).
 //!
 //! Run with: `cargo run --release --example star_schema`
 
@@ -30,19 +32,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("star query: fact table + {DIMENSIONS} dimensions (n = {n})\n");
     println!(
-        "{:<10} {:>12} {:>16} {:>12} {:>10}",
+        "{:<12} {:>12} {:>16} {:>12} {:>10}",
         "algorithm", "time", "InnerCounter", "#ccp/2", "cost"
     );
 
-    let algorithms = [Algorithm::DpSize, Algorithm::DpSub, Algorithm::DpCcp];
+    let algorithms = [
+        Algorithm::DpSize,
+        Algorithm::DpSub,
+        Algorithm::DpCcp,
+        Algorithm::Auto,
+    ];
     let mut trees = Vec::new();
     for alg in algorithms {
         let outcome = OptimizeRequest::new(&graph, &catalog)
             .with_algorithm(alg)
             .run()?;
+        let name = outcome.algorithm.orderer(&graph).name();
+        let label = if alg == Algorithm::Auto {
+            assert_eq!(outcome.algorithm, Algorithm::IkkBz);
+            format!("Auto={name}")
+        } else {
+            name.to_string()
+        };
         println!(
-            "{:<10} {:>12} {:>16} {:>12} {:>10.3e}",
-            alg.orderer(&graph).name(),
+            "{:<12} {:>12} {:>16} {:>12} {:>10.3e}",
+            label,
             format!("{:.2?}", outcome.elapsed),
             outcome.result.counters.inner,
             outcome.result.counters.ono_lohman,
@@ -51,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trees.push(outcome.into_result());
     }
 
-    // All three algorithms find plans of the same (optimal) cost.
+    // All three algorithms, and Auto's IKKBZ, find plans of the same
+    // (optimal) cost.
     assert!(trees
         .windows(2)
         .all(|w| (w[0].cost - w[1].cost).abs() <= 1e-9 * w[0].cost));

@@ -19,7 +19,7 @@ fn strategy_cost_ordering_holds() {
             workload::random_catalog(&g, joinopt_cost::workload::StatsRanges::default(), &mut rng);
         let bushy = DpCcp.optimize(&g, &cat, &Cout).unwrap().cost;
         let ld = DpSizeLeftDeep.optimize(&g, &cat, &Cout).unwrap().cost;
-        let ik = IkkBz.optimize(&g, &cat).unwrap().cost;
+        let ik = IkkBz.optimize(&g, &cat, &Cout).unwrap().cost;
         let idp = Idp::with_block_size(4)
             .optimize(&g, &cat, &Cout)
             .unwrap()
@@ -73,7 +73,7 @@ fn facade_dispatches_every_algorithm() {
             | Algorithm::Goo => {
                 assert!(r.cost >= optimal - 1e-9 * optimal)
             }
-            Algorithm::Auto => unreachable!("CONCRETE excludes Auto"),
+            Algorithm::IkkBz | Algorithm::Auto => unreachable!("CONCRETE excludes both"),
         }
     }
 }
@@ -120,7 +120,7 @@ fn ikkbz_handles_every_tree_family_shape() {
             (GraphKind::Clique, n <= 2),
         ] {
             let w = workload::family_workload(kind, n, 3);
-            let result = IkkBz.optimize(&w.graph, &w.catalog);
+            let result = IkkBz.optimize(&w.graph, &w.catalog, &Cout);
             assert_eq!(result.is_ok(), is_tree, "{kind} n={n}");
             if let Ok(r) = result {
                 let dp = DpSizeLeftDeep
